@@ -2,16 +2,14 @@
 // unit of §4.3) and its SELECT counterpart, across the statement-execution
 // modes of one binary:
 //
-//   uncached   textual SQL with inline literals, plan cache off — the full
-//              parse + resolve + plan cost on every execution
+//   uncached   textual SQL with inline literals, parsed on every execution
+//              and run as a Statement — the full parse + resolve + plan +
+//              compile cost every time
 //   cached     textual SQL routed through the LRU plan cache (a small
 //              rotating statement set, so executions mostly hit)
 //   prepared   one PreparedStatement handle, '?' params rebound per
 //              execution — frozen input set, index probe, slot-compiled
 //              programs
-//   prepared_interpreted  the same handle API with compiled expressions
-//              (and fast paths) disabled — isolates what compilation buys
-//              over per-execution interpretation
 //
 // Emits BENCH_sql_frontend.json with per-mode timings and the
 // prepared-vs-uncached speedup (the headline number for EXPERIMENTS.md
@@ -26,6 +24,7 @@
 
 #include "pta_bench_common.h"
 #include "strip/engine/database.h"
+#include "strip/sql/parser.h"
 
 namespace strip {
 namespace {
@@ -34,11 +33,9 @@ constexpr int kRows = 10000;
 constexpr int kWarmup = 2000;
 constexpr int kIters = 20000;
 
-std::unique_ptr<Database> MakeDb(bool plan_cache, bool compiled) {
+std::unique_ptr<Database> MakeDb() {
   Database::Options opts;
   opts.mode = ExecutorMode::kSimulated;
-  opts.enable_plan_cache = plan_cache;
-  opts.enable_compiled_exprs = compiled;
   auto db = std::make_unique<Database>(opts);
   Status st = db->ExecuteScript(
       "create table t (k string, v double); create index on t (k)");
@@ -99,6 +96,12 @@ Status CheckOneRow(const Result<ResultSet>& rs) {
   return Status::OK();
 }
 
+/// The uncached mode: parse on every execution, run the parsed Statement.
+Result<ResultSet> ParseAndExecute(Database& db, const std::string& sql) {
+  STRIP_ASSIGN_OR_RETURN(Statement stmt, Parser::ParseStatement(sql));
+  return db.Execute(stmt);
+}
+
 }  // namespace
 }  // namespace strip
 
@@ -108,15 +111,15 @@ int main() {
 
   // --- update transaction, uncached textual SQL -------------------------
   {
-    auto db = MakeDb(/*plan_cache=*/false, /*compiled=*/true);
+    auto db = MakeDb();
     results.push_back(TimeMode("update_uncached", [&](int i) {
-      return db->Execute(UpdateSql(i)).status();
+      return ParseAndExecute(*db, UpdateSql(i)).status();
     }));
   }
 
   // --- update transaction, textual SQL through the plan cache -----------
   {
-    auto db = MakeDb(/*plan_cache=*/true, /*compiled=*/true);
+    auto db = MakeDb();
     // A rotating set of 64 distinct statements: realistic hot-statement
     // reuse, far below cache capacity.
     std::vector<std::string> stmts;
@@ -128,7 +131,7 @@ int main() {
 
   // --- update transaction, prepared handle + params ----------------------
   {
-    auto db = MakeDb(/*plan_cache=*/true, /*compiled=*/true);
+    auto db = MakeDb();
     auto ps = db->Prepare("update t set v = ? where k = ?");
     if (!ps.ok()) std::abort();
     results.push_back(TimeMode("update_prepared", [&](int i) {
@@ -139,30 +142,17 @@ int main() {
     }));
   }
 
-  // --- update transaction, prepared handle, interpreter forced ----------
-  {
-    auto db = MakeDb(/*plan_cache=*/true, /*compiled=*/false);
-    auto ps = db->Prepare("update t set v = ? where k = ?");
-    if (!ps.ok()) std::abort();
-    results.push_back(TimeMode("update_prepared_interpreted", [&](int i) {
-      return (*ps)
-          ->Execute({Value::Double((i % 97) + 0.5),
-                     Value::Str("k" + std::to_string(i % kRows))})
-          .status();
-    }));
-  }
-
   // --- single-row SELECT, uncached vs prepared ---------------------------
   {
-    auto db = MakeDb(/*plan_cache=*/false, /*compiled=*/true);
+    auto db = MakeDb();
     results.push_back(TimeMode("select_uncached", [&](int i) {
-      return CheckOneRow(db->Execute(
-          "select v from t where k = 'k" + std::to_string(i % kRows) +
-          "'"));
+      return CheckOneRow(ParseAndExecute(
+          *db, "select v from t where k = 'k" + std::to_string(i % kRows) +
+                   "'"));
     }));
   }
   {
-    auto db = MakeDb(/*plan_cache=*/true, /*compiled=*/true);
+    auto db = MakeDb();
     auto ps = db->Prepare("select v from t where k = ?");
     if (!ps.ok()) std::abort();
     results.push_back(TimeMode("select_prepared", [&](int i) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "strip/common/string_util.h"
@@ -29,7 +30,6 @@ Database::Database(Options options)
   deps.locks = &locks_;
   deps.scalar_funcs = &scalar_funcs_;
   deps.task_ids = &next_task_id_;
-  deps.disable_compiled_exprs = !options_.enable_compiled_exprs;
   deps.trace = trace_ring_.enabled() ? &trace_ring_ : nullptr;
   deps.action_runner = [this](TaskControlBlock& task) {
     return RunActionTask(task);
@@ -299,6 +299,38 @@ void Database::SubmitPeriodicTick(
   Submit(std::move(task));
 }
 
+Status Database::RunWithRestarts(
+    const std::function<Status(Transaction&)>& body,
+    const std::function<void()>& on_restart, bool auto_commit) {
+  Status last;
+  uint64_t priority = 0;  // first attempt's id, kept across restarts
+  for (int attempt = 0; attempt <= options_.action_retry_limit; ++attempt) {
+    {
+      std::optional<DdlLatch::SharedGuard> ddl;
+      if (auto_commit) ddl.emplace(ddl_latch_);
+      STRIP_ASSIGN_OR_RETURN(Transaction * txn, Begin(priority));
+      if (priority == 0) priority = txn->priority();
+      Status st = body(*txn);
+      if (st.ok()) {
+        st = Commit(txn);
+        if (st.ok()) return st;
+      } else {
+        Status ignored = Abort(txn);
+        (void)ignored;
+      }
+      if (st.code() != StatusCode::kAborted) return st;  // real failure
+      last = st;  // wait-die victim: restart with the ORIGINAL priority
+    }
+    if (on_restart) on_restart();
+    if (attempt < options_.action_retry_limit &&
+        (auto_commit || threaded_ != nullptr)) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(std::min(1 << std::min(attempt, 5), 32)));
+    }
+  }
+  return last;
+}
+
 Status Database::RunActionTask(TaskControlBlock& task) {
   // Once running, the task's bound tables are fixed; remove its unique
   // hash-table entry so later firings start a new transaction (§6.3).
@@ -309,45 +341,28 @@ Status Database::RunActionTask(TaskControlBlock& task) {
     return Status::NotFound(StrFormat("no user function '%s'",
                                       task.function_name.c_str()));
   }
-  Status last;
-  uint64_t priority = 0;  // first attempt's id, kept across retries
-  for (int attempt = 0; attempt <= options_.action_retry_limit; ++attempt) {
-    STRIP_ASSIGN_OR_RETURN(Transaction * txn, Begin(priority));
-    if (priority == 0) priority = txn->priority();
-    // The action transaction is a child span of the task: retries mint
-    // fresh spans but stay inside the same trace, so the exported timeline
-    // shows every attempt hanging off the firing that caused it.
-    txn->set_trace(ChildOf(task.trace));
-    // Mirror lock waits into the task (the txn dies inside Commit/Abort,
-    // taking its own accumulator with it); the task outlives the commit.
-    txn->set_lock_wait_sink(&task.lock_wait_micros);
-    FunctionContext ctx(*this, *txn, task);
-    Status st = (*fn)(ctx);
-    if (st.ok()) {
-      st = Commit(txn);
-      if (st.ok()) {
-        RecordActionCommit(task);
-        return Status::OK();
-      }
-    } else {
-      Status ignored = Abort(txn);
-      (void)ignored;
-    }
-    if (st.code() != StatusCode::kAborted) return st;  // real failure
-    last = st;  // wait-die victim: restart with the ORIGINAL priority
-    ++task.lock_restarts;
-    action_restarts_->Add();
-    trace_ring_.Record(TraceEventKind::kRestart, task.id(), Now(),
-                       task.function_name.c_str(), task.trace.trace_id);
-    if (threaded_ != nullptr) {
-      // Back off so the conflicting older transaction can finish; the
-      // simulated executor is single-threaded and never needs this.
-      auto delay = std::chrono::milliseconds(
-          std::min(1 << std::min(attempt, 5), 32));
-      std::this_thread::sleep_for(delay);
-    }
-  }
-  return last;
+  STRIP_RETURN_IF_ERROR(RunWithRestarts(
+      [&](Transaction& txn) {
+        // The action transaction is a child span of the task: restarts
+        // mint fresh spans but stay inside the same trace, so the exported
+        // timeline shows every attempt hanging off the firing that caused
+        // it.
+        txn.set_trace(ChildOf(task.trace));
+        // Mirror lock waits into the task (the txn dies inside
+        // Commit/Abort, taking its own accumulator with it); the task
+        // outlives the commit.
+        txn.set_lock_wait_sink(&task.lock_wait_micros);
+        FunctionContext ctx(*this, txn, task);
+        return (*fn)(ctx);
+      },
+      [&] {
+        ++task.lock_restarts;
+        action_restarts_->Add();
+        trace_ring_.Record(TraceEventKind::kRestart, task.id(), Now(),
+                           task.function_name.c_str(), task.trace.trace_id);
+      }));
+  RecordActionCommit(task);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -434,6 +449,20 @@ Result<ResultSet> Database::ExecuteDdl(const Statement& stmt) {
   return Status::Internal("unhandled DDL statement");
 }
 
+ExecContext Database::MakeExecContext(Transaction* txn,
+                                      TaskControlBlock* task,
+                                      const std::vector<Value>* params) {
+  ExecContext ctx;
+  ctx.catalog = &catalog_;
+  ctx.locks = &locks_;
+  ctx.txn = txn;
+  ctx.bound = task != nullptr ? &task->bound_tables : nullptr;
+  ctx.rows_scanned = task != nullptr ? &task->rows_scanned : nullptr;
+  ctx.funcs = &scalar_funcs_;
+  ctx.params = params;
+  return ctx;
+}
+
 Result<ResultSet> Database::ExecuteStatement(Transaction* txn,
                                              const Statement& stmt,
                                              TaskControlBlock* task,
@@ -442,51 +471,22 @@ Result<ResultSet> Database::ExecuteStatement(Transaction* txn,
     return Status::InvalidArgument(
         "DDL cannot run inside a transaction; use Execute()");
   }
-  DdlLatch::SharedGuard ddl(ddl_latch_);
-  ExecContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.locks = &locks_;
-  ctx.txn = txn;
-  ctx.bound = task != nullptr ? &task->bound_tables : nullptr;
-  ctx.rows_scanned = task != nullptr ? &task->rows_scanned : nullptr;
-  ctx.funcs = &scalar_funcs_;
-  ctx.params = params;
-  ctx.disable_compiled_exprs = !options_.enable_compiled_exprs;
-  SqlExecutor executor(ctx);
-
   if (const auto* s = std::get_if<SelectStmt>(&stmt)) {
-    STRIP_ASSIGN_OR_RETURN(TempTable t, executor.ExecuteSelect(*s));
+    STRIP_ASSIGN_OR_RETURN(TempTable t, Query(txn, *s, task, params));
     return t.Materialize();
   }
-  if (const auto* s = std::get_if<InsertStmt>(&stmt)) {
-    STRIP_ASSIGN_OR_RETURN(int n, executor.ExecuteInsert(*s));
-    return RowsAffected(n);
-  }
-  if (const auto* s = std::get_if<UpdateStmt>(&stmt)) {
-    STRIP_ASSIGN_OR_RETURN(int n, executor.ExecuteUpdate(*s));
-    return RowsAffected(n);
-  }
-  if (const auto* s = std::get_if<DeleteStmt>(&stmt)) {
-    STRIP_ASSIGN_OR_RETURN(int n, executor.ExecuteDelete(*s));
-    return RowsAffected(n);
-  }
-  return Status::Internal("unhandled statement kind");
+  static const std::vector<Value> kNoParams;
+  STRIP_ASSIGN_OR_RETURN(
+      int n, ExecuteDml(txn, stmt, params != nullptr ? *params : kNoParams,
+                        task));
+  return RowsAffected(n);
 }
 
 Result<TempTable> Database::Query(Transaction* txn, const SelectStmt& stmt,
                                   TaskControlBlock* task,
                                   const std::vector<Value>* params) {
   DdlLatch::SharedGuard ddl(ddl_latch_);
-  ExecContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.locks = &locks_;
-  ctx.txn = txn;
-  ctx.bound = task != nullptr ? &task->bound_tables : nullptr;
-  ctx.rows_scanned = task != nullptr ? &task->rows_scanned : nullptr;
-  ctx.funcs = &scalar_funcs_;
-  ctx.params = params;
-  ctx.disable_compiled_exprs = !options_.enable_compiled_exprs;
-  SqlExecutor executor(ctx);
+  SqlExecutor executor(MakeExecContext(txn, task, params));
   return executor.ExecuteSelect(stmt);
 }
 
@@ -494,31 +494,15 @@ Result<int> Database::ExecuteDml(Transaction* txn, const Statement& stmt,
                                  const std::vector<Value>& params,
                                  TaskControlBlock* task) {
   DdlLatch::SharedGuard ddl(ddl_latch_);
-  ExecContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.locks = &locks_;
-  ctx.txn = txn;
-  ctx.bound = task != nullptr ? &task->bound_tables : nullptr;
-  ctx.rows_scanned = task != nullptr ? &task->rows_scanned : nullptr;
-  ctx.funcs = &scalar_funcs_;
-  ctx.params = &params;
-  ctx.disable_compiled_exprs = !options_.enable_compiled_exprs;
-  SqlExecutor executor(ctx);
-  if (const auto* s = std::get_if<InsertStmt>(&stmt)) {
-    return executor.ExecuteInsert(*s);
-  }
-  if (const auto* s = std::get_if<UpdateStmt>(&stmt)) {
-    return executor.ExecuteUpdate(*s);
-  }
-  if (const auto* s = std::get_if<DeleteStmt>(&stmt)) {
-    return executor.ExecuteDelete(*s);
-  }
-  return Status::InvalidArgument("ExecuteDml takes INSERT/UPDATE/DELETE");
+  STRIP_ASSIGN_OR_RETURN(DmlPlan plan,
+                         DmlPlan::Build(stmt, catalog_, &scalar_funcs_));
+  SqlExecutor executor(MakeExecContext(txn, task, &params));
+  return executor.ExecuteDml(plan);
 }
 
 Result<PreparedStatementPtr> Database::Prepare(const std::string& sql) {
   std::string key = NormalizeSql(sql);
-  if (options_.enable_plan_cache) {
+  {
     std::lock_guard<std::mutex> lk(plan_mu_);
     auto it = plan_cache_.find(key);
     if (it != plan_cache_.end()) {
@@ -532,7 +516,7 @@ Result<PreparedStatementPtr> Database::Prepare(const std::string& sql) {
       new PreparedStatement(this, sql, std::move(stmt)));
   // DDL runs once and mutates the catalog; caching its handle would only
   // pin a dead plan.
-  if (!options_.enable_plan_cache || handle->is_ddl()) return handle;
+  if (handle->is_ddl()) return handle;
   std::lock_guard<std::mutex> lk(plan_mu_);
   plan_misses_->Add();
   auto it = plan_cache_.find(key);
@@ -561,24 +545,19 @@ Database::PlanCacheStats Database::plan_cache_stats() const {
 }
 
 Result<ResultSet> Database::Execute(const std::string& sql) {
-  if (options_.enable_plan_cache) {
-    STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr ps, Prepare(sql));
-    return ps->Execute();
-  }
-  STRIP_ASSIGN_OR_RETURN(Statement stmt, Parser::ParseStatement(sql));
-  return Execute(stmt);
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr ps, Prepare(sql));
+  return ps->Execute();
 }
 
 Result<ResultSet> Database::Execute(const Statement& stmt) {
   if (IsDdl(stmt)) return ExecuteDdl(stmt);
-  STRIP_ASSIGN_OR_RETURN(Transaction * txn, Begin());
-  auto result = ExecuteStatement(txn, stmt);
-  if (!result.ok()) {
-    Status ignored = Abort(txn);
-    (void)ignored;
-    return result.status();
-  }
-  STRIP_RETURN_IF_ERROR(Commit(txn));
+  ResultSet result;
+  STRIP_RETURN_IF_ERROR(RunWithRestarts(
+      [&](Transaction& txn) -> Status {
+        STRIP_ASSIGN_OR_RETURN(result, ExecuteStatement(&txn, stmt));
+        return Status::OK();
+      },
+      {}, /*auto_commit=*/true));
   return result;
 }
 
@@ -586,18 +565,7 @@ Status Database::ExecuteScript(const std::string& sql) {
   STRIP_ASSIGN_OR_RETURN(std::vector<Statement> stmts,
                          Parser::ParseScript(sql));
   for (const Statement& stmt : stmts) {
-    if (IsDdl(stmt)) {
-      STRIP_RETURN_IF_ERROR(ExecuteDdl(stmt).status());
-      continue;
-    }
-    STRIP_ASSIGN_OR_RETURN(Transaction * txn, Begin());
-    auto result = ExecuteStatement(txn, stmt);
-    if (!result.ok()) {
-      Status ignored = Abort(txn);
-      (void)ignored;
-      return result.status();
-    }
-    STRIP_RETURN_IF_ERROR(Commit(txn));
+    STRIP_RETURN_IF_ERROR(Execute(stmt).status());
   }
   return Status::OK();
 }
@@ -611,13 +579,8 @@ Result<std::vector<std::string>> Database::Explain(const std::string& sql) {
   STRIP_ASSIGN_OR_RETURN(Transaction * txn, Begin());
   std::vector<std::string> trace;
   DdlLatch::SharedGuard ddl(ddl_latch_);
-  ExecContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.locks = &locks_;
-  ctx.txn = txn;
-  ctx.funcs = &scalar_funcs_;
+  ExecContext ctx = MakeExecContext(txn, nullptr, nullptr);
   ctx.plan_trace = &trace;
-  ctx.disable_compiled_exprs = !options_.enable_compiled_exprs;
   SqlExecutor executor(ctx);
   auto result = executor.ExecuteSelect(*select);
   if (!result.ok()) {
@@ -633,12 +596,8 @@ Result<std::vector<std::string>> Database::Explain(const std::string& sql) {
 Result<ResultSet> Database::ExecuteInTxn(Transaction* txn,
                                          const std::string& sql,
                                          TaskControlBlock* task) {
-  if (options_.enable_plan_cache) {
-    STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr ps, Prepare(sql));
-    return ps->ExecuteInTxn(txn, {}, task);
-  }
-  STRIP_ASSIGN_OR_RETURN(Statement stmt, Parser::ParseStatement(sql));
-  return ExecuteStatement(txn, stmt, task);
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr ps, Prepare(sql));
+  return ps->ExecuteInTxn(txn, {}, task);
 }
 
 }  // namespace strip

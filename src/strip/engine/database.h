@@ -2,6 +2,7 @@
 #define STRIP_ENGINE_DATABASE_H_
 
 #include <atomic>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -55,20 +56,13 @@ class Database {
     /// Simulated mode: advance virtual time by each task's measured cost
     /// (single-CPU model). Disable for pure logical-time tests.
     bool advance_clock_by_cost = true;
-    /// Rule-action transactions aborted by wait-die are retried this many
-    /// times before the task fails.
+    /// Engine-run transactions (rule actions, feed upserts, auto-commit
+    /// statements) aborted by wait-die are retried this many times before
+    /// the abort is returned.
     int action_retry_limit = 10;
-    /// Route textual Execute / ExecuteInTxn through the LRU cache of
-    /// prepared statements (keyed by normalized SQL), so repeated
-    /// statements skip the parser and reuse frozen plans.
-    bool enable_plan_cache = true;
+    /// Capacity of the LRU cache of prepared statements (keyed by
+    /// normalized SQL) that every textual statement runs through.
     size_t plan_cache_capacity = 256;
-    /// Evaluate expressions through slot-compiled postfix programs instead
-    /// of the tree-walking interpreter. Also gates the prepared fast
-    /// paths; disable to force fully interpreted execution (the
-    /// compiled-vs-interpreted equivalence tests and benchmarks toggle
-    /// this on one binary).
-    bool enable_compiled_exprs = true;
     /// Hot-path observability (src/strip/obs/): the lifecycle trace ring,
     /// task latency histograms, and per-rule staleness probes. Counters
     /// (always on) are single relaxed atomic increments; disabling this
@@ -87,11 +81,14 @@ class Database {
   Database& operator=(const Database&) = delete;
 
   // --- SQL entry points --------------------------------------------------
-  /// Parses and executes one statement. DML / SELECT run in their own
-  /// transaction (committed on success — firing rules); DDL is immediate.
+  /// Prepares (through the plan cache) and executes one statement. DML /
+  /// SELECT run in their own transaction (committed on success — firing
+  /// rules; wait-die aborts restart, see RunWithRestarts); DDL is
+  /// immediate.
   Result<ResultSet> Execute(const std::string& sql);
 
-  /// Executes one pre-parsed statement with the same semantics.
+  /// Executes one pre-parsed statement with the same semantics, planning
+  /// it on every call.
   Result<ResultSet> Execute(const Statement& stmt);
 
   /// Executes a ';'-separated script, stopping at the first error.
@@ -100,10 +97,9 @@ class Database {
   /// Parses `sql` once and returns a reusable handle that freezes FROM
   /// resolution, plan choice (index probe vs. scan), and slot-compiled
   /// expression programs; execute it repeatedly with '?' bindings. Handles
-  /// for the same normalized SQL text are shared through an LRU cache
-  /// (when Options::enable_plan_cache is set); plans self-invalidate on
-  /// any DDL via the catalog generation counter. DDL statements get fresh
-  /// uncached handles.
+  /// for the same normalized SQL text are shared through an LRU cache;
+  /// plans self-invalidate on any DDL via the catalog generation counter.
+  /// DDL statements get fresh uncached handles.
   Result<PreparedStatementPtr> Prepare(const std::string& sql);
 
   /// Plan-cache observability (hits / misses are cumulative).
@@ -139,10 +135,10 @@ class Database {
                           TaskControlBlock* task = nullptr,
                           const std::vector<Value>* params = nullptr);
 
-  /// Prepared-DML fast path: executes an UPDATE / INSERT / DELETE with
-  /// bound parameters, returning affected rows without building a
-  /// ResultSet. This is what rule-action functions call per maintained
-  /// tuple (the paper's user functions issue such updates, Figures 3-8).
+  /// Executes an UPDATE / INSERT / DELETE with bound parameters, planning
+  /// it on every call, and returns affected rows without building a
+  /// ResultSet. Prepared handles (PreparedStatement::ExecuteDml) run the
+  /// same routine with a cached plan.
   Result<int> ExecuteDml(Transaction* txn, const Statement& stmt,
                          const std::vector<Value>& params,
                          TaskControlBlock* task = nullptr);
@@ -159,6 +155,24 @@ class Database {
 
   /// Rolls back every logged change and releases locks.
   Status Abort(Transaction* txn);
+
+  /// Runs `body` in a fresh transaction and commits it, restarting when
+  /// wait-die aborts it (in `body` or in Commit): up to
+  /// Options::action_retry_limit restarts, every attempt with the first
+  /// attempt's priority so a restarted transaction ages instead of
+  /// starving, and a 1-32 ms backoff before each restart so the older
+  /// conflicting transaction can finish. `on_restart` (optional) runs after
+  /// each aborted attempt. Any other failure aborts and returns at once.
+  ///
+  /// `auto_commit` marks an application thread's single statement: each
+  /// attempt then holds the DDL latch shared from Begin through Commit
+  /// (released while backing off), and backs off in simulated mode too —
+  /// the conflicting transaction lives on another thread. Otherwise
+  /// (engine tasks) the simulated executor, being single-threaded, never
+  /// backs off.
+  Status RunWithRestarts(const std::function<Status(Transaction&)>& body,
+                         const std::function<void()>& on_restart = {},
+                         bool auto_commit = false);
 
   // --- rule actions / functions -------------------------------------------
   /// Registers a user (rule action) function.
@@ -227,6 +241,11 @@ class Database {
 
   /// Immediate (non-transactional) DDL execution.
   Result<ResultSet> ExecuteDdl(const Statement& stmt);
+
+  /// Executor context for statement work in `txn` on behalf of `task`
+  /// (optional: its bound tables and scan counter).
+  ExecContext MakeExecContext(Transaction* txn, TaskControlBlock* task,
+                              const std::vector<Value>* params);
 
   /// Wires every subsystem stats struct into the registry as callback
   /// gauges and resolves the hot-path counter / histogram handles.

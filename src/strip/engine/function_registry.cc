@@ -2,7 +2,6 @@
 
 #include "strip/common/string_util.h"
 #include "strip/engine/database.h"
-#include "strip/sql/parser.h"
 
 namespace strip {
 
@@ -19,16 +18,8 @@ int AffectedRowsOf(const ResultSet& rs) {
 }  // namespace
 
 Result<TempTable> FunctionContext::Query(const std::string& sql) {
-  if (db_.options().enable_plan_cache) {
-    STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr ps, db_.Prepare(sql));
-    return ps->Query(&txn_, {}, &task_);
-  }
-  STRIP_ASSIGN_OR_RETURN(Statement stmt, Parser::ParseStatement(sql));
-  const auto* select = std::get_if<SelectStmt>(&stmt);
-  if (select == nullptr) {
-    return Status::InvalidArgument("Query() takes a SELECT statement");
-  }
-  return db_.Query(&txn_, *select, &task_);
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr ps, db_.Prepare(sql));
+  return ps->Query(&txn_, {}, &task_);
 }
 
 Result<TempTable> FunctionContext::Query(const SelectStmt& stmt,
@@ -42,13 +33,9 @@ Result<TempTable> FunctionContext::Query(PreparedStatement& stmt,
 }
 
 Result<int> FunctionContext::Exec(const std::string& sql) {
-  if (db_.options().enable_plan_cache) {
-    STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr ps, db_.Prepare(sql));
-    STRIP_ASSIGN_OR_RETURN(ResultSet rs, ps->ExecuteInTxn(&txn_, {}, &task_));
-    return AffectedRowsOf(rs);
-  }
-  STRIP_ASSIGN_OR_RETURN(Statement stmt, Parser::ParseStatement(sql));
-  return Exec(stmt);
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr ps, db_.Prepare(sql));
+  STRIP_ASSIGN_OR_RETURN(ResultSet rs, ps->ExecuteInTxn(&txn_, {}, &task_));
+  return AffectedRowsOf(rs);
 }
 
 Result<int> FunctionContext::Exec(const Statement& stmt,

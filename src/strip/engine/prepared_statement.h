@@ -23,13 +23,14 @@ class Database;
 /// for itself).
 ///
 /// What prepare freezes, per statement kind:
-///   - single-table DML: the Table*, the index probe (indexed `col = const`
-///     conjunct), and slot-compiled SET / WHERE / VALUES programs;
+///   - single-table DML: the executor's DmlPlan (the Table*, the index
+///     probe, slot-compiled SET / WHERE / VALUES programs), run by the same
+///     SqlExecutor::ExecuteDml routine the unprepared entry points use;
 ///   - SELECT whose FROM names all resolve in the catalog: the frozen
 ///     InputSet, the classified conjuncts, and slot-compiled programs for
 ///     every expression, fed to the executor's generic join machinery.
-/// Anything that does not fit falls back to the interpreted path with
-/// identical semantics (including errors), decided per execution.
+///     Other SELECTs (FROM names a task's bound table) are resolved and
+///     compiled per execution.
 ///
 /// DDL invalidation: every execution compares the plan's catalog generation
 /// stamp against the live counter and transparently re-resolves after any
@@ -51,7 +52,8 @@ class PreparedStatement {
   PreparedStatement& operator=(const PreparedStatement&) = delete;
 
   /// Semantics of Database::Execute: DML / SELECT run in a fresh
-  /// transaction (committed on success — firing rules); DDL is immediate.
+  /// transaction (committed on success — firing rules; wait-die aborts
+  /// restart, Database::RunWithRestarts); DDL is immediate.
   Result<ResultSet> Execute(const std::vector<Value>& params = {});
 
   /// Runs inside the caller's transaction (DML / SELECT only). `task`
@@ -61,13 +63,13 @@ class PreparedStatement {
                                  const std::vector<Value>& params = {},
                                  TaskControlBlock* task = nullptr);
 
-  /// DML fast path: affected rows without materializing a ResultSet. This
-  /// is the per-maintained-tuple call of the rule-action functions.
+  /// DML: affected rows without materializing a ResultSet. This is the
+  /// per-maintained-tuple call of the rule-action functions.
   Result<int> ExecuteDml(Transaction* txn,
                          const std::vector<Value>& params = {},
                          TaskControlBlock* task = nullptr);
 
-  /// SELECT fast path: the pointer-backed temp table.
+  /// SELECT: the pointer-backed temp table.
   Result<TempTable> Query(Transaction* txn,
                           const std::vector<Value>& params = {},
                           TaskControlBlock* task = nullptr);
@@ -77,8 +79,8 @@ class PreparedStatement {
   bool is_select() const;
   bool is_ddl() const;
 
-  /// One line per prepare-time plan decision (fast path taken, index vs.
-  /// scan, compiled program counts) — introspection for tests and tooling.
+  /// One line per prepare-time plan decision (index vs. scan, compiled
+  /// program counts) — introspection for tests and tooling.
   /// Re-plans first if DDL has run since the last execution.
   Result<std::vector<std::string>> PlanNotes();
 
@@ -96,12 +98,9 @@ class PreparedStatement {
   std::shared_ptr<const Plan> CurrentPlan();
 
   /// Re-resolves and re-compiles against the current catalog. Never fails:
-  /// statements that do not fit a fast path get a fallback plan that
-  /// delegates to the interpreted executor (preserving its exact errors).
+  /// a DML statement that does not resolve keeps the error, returned by
+  /// every execution until DDL changes the catalog.
   std::shared_ptr<const Plan> BuildPlan();
-
-  Result<int> RunDmlFast(const Plan& plan, Transaction* txn,
-                         const std::vector<Value>& params);
 
   Database* db_;
   std::string sql_;

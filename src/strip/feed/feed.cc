@@ -1,11 +1,6 @@
 #include "strip/feed/feed.h"
 
-#include <algorithm>
-#include <chrono>
-#include <thread>
-
 #include "strip/common/string_util.h"
-#include "strip/sql/parser.h"
 
 namespace strip {
 
@@ -34,90 +29,55 @@ Result<std::unique_ptr<FeedImporter>> FeedImporter::Create(
     update_sql += schema.column(c).name + " = ?";
   }
   update_sql += " where " + schema.column(0).name + " = ?";
-  STRIP_ASSIGN_OR_RETURN(Statement update_stmt,
-                         Parser::ParseStatement(update_sql));
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr update, db->Prepare(update_sql));
 
   std::string insert_sql = "insert into " + table->name() + " values (";
   for (int c = 0; c < schema.num_columns(); ++c) {
     insert_sql += c > 0 ? ", ?" : "?";
   }
   insert_sql += ")";
-  STRIP_ASSIGN_OR_RETURN(Statement insert_stmt,
-                         Parser::ParseStatement(insert_sql));
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr insert, db->Prepare(insert_sql));
 
-  return std::unique_ptr<FeedImporter>(new FeedImporter(
-      db, table, std::move(update_stmt), std::move(insert_stmt)));
+  return std::unique_ptr<FeedImporter>(
+      new FeedImporter(db, table, std::move(update), std::move(insert)));
 }
 
-FeedImporter::FeedImporter(Database* db, Table* table, Statement update_stmt,
-                           Statement insert_stmt)
+FeedImporter::FeedImporter(Database* db, Table* table,
+                           PreparedStatementPtr update,
+                           PreparedStatementPtr insert)
     : db_(db),
       table_(table),
-      update_stmt_(std::move(update_stmt)),
-      insert_stmt_(std::move(insert_stmt)) {}
+      update_(std::move(update)),
+      insert_(std::move(insert)) {}
 
 Status FeedImporter::Apply(const FeedRecord& rec, TaskControlBlock* tcb) {
-  // Feed upserts retry wait-die aborts under the engine's action-retry
-  // policy, keeping the first attempt's priority (same discipline as
-  // Database::RunActionTask). The feed is at-least-once: a record dropped
-  // on an abort is simply lost — harmless for an idempotent market quote,
-  // but fatal for a cluster delta shipment, where a lost record desyncs
-  // the merged view from its shards for good.
-  Status last;
-  uint64_t priority = 0;
-  for (int attempt = 0; attempt <= db_->options().action_retry_limit;
-       ++attempt) {
-    STRIP_ASSIGN_OR_RETURN(Transaction * txn, db_->Begin(priority));
-    if (priority == 0) priority = txn->priority();
+  // Feed upserts restart on wait-die aborts (Database::RunWithRestarts).
+  // The feed is at-least-once: a record dropped on an abort is simply
+  // lost — harmless for an idempotent market quote, but fatal for a
+  // cluster delta shipment, where a lost record desyncs the merged view
+  // from its shards for good.
+  std::vector<Value> update_params(rec.values.begin() + 1, rec.values.end());
+  update_params.push_back(rec.values[0]);
+  Status st = db_->RunWithRestarts([&](Transaction& txn) -> Status {
     if (tcb != nullptr) {
       // The record's root context, stamped in Submit: the feed upsert is
       // the first span of everything this record causes downstream.
-      txn->set_trace(ChildOf(tcb->trace));
-      txn->set_lock_wait_sink(&tcb->lock_wait_micros);
+      txn.set_trace(ChildOf(tcb->trace));
+      txn.set_lock_wait_sink(&tcb->lock_wait_micros);
     }
-    auto run = [&]() -> Status {
-      // Upsert: try the keyed update, insert on miss.
-      std::vector<Value> update_params(rec.values.begin() + 1,
-                                       rec.values.end());
-      update_params.push_back(rec.values[0]);
-      STRIP_ASSIGN_OR_RETURN(
-          int n, db_->ExecuteDml(txn, update_stmt_, update_params));
-      if (n == 0) {
-        STRIP_ASSIGN_OR_RETURN(
-            n, db_->ExecuteDml(txn, insert_stmt_, rec.values));
-      }
-      if (n != 1) {
-        return Status::Internal(StrFormat(
-            "feed upsert touched %d rows in '%s'", n,
-            table_->name().c_str()));
-      }
-      return Status::OK();
-    };
-    Status st = run();
-    if (st.ok()) {
-      st = db_->Commit(txn);
-      if (st.ok()) {
-        applied_.fetch_add(1, std::memory_order_relaxed);
-        return st;
-      }
-    } else {
-      Status ignored = db_->Abort(txn);
-      (void)ignored;
+    // Upsert: try the keyed update, insert on miss.
+    STRIP_ASSIGN_OR_RETURN(int n, update_->ExecuteDml(&txn, update_params));
+    if (n == 0) {
+      STRIP_ASSIGN_OR_RETURN(n, insert_->ExecuteDml(&txn, rec.values));
     }
-    if (st.code() != StatusCode::kAborted) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      return st;  // real failure; retrying cannot help
+    if (n != 1) {
+      return Status::Internal(StrFormat("feed upsert touched %d rows in '%s'",
+                                        n, table_->name().c_str()));
     }
-    last = st;
-    if (db_->threaded() != nullptr) {
-      // Back off so the conflicting older transaction can finish; the
-      // simulated executor is single-threaded and never needs this.
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          std::min(1 << std::min(attempt, 5), 32)));
-    }
-  }
-  failed_.fetch_add(1, std::memory_order_relaxed);
-  return last;
+    return Status::OK();
+  });
+  (st.ok() ? applied_ : failed_).fetch_add(1, std::memory_order_relaxed);
+  return st;
 }
 
 Status FeedImporter::Validate(const FeedRecord& rec) const {

@@ -76,8 +76,8 @@ class FeedImporter {
   uint64_t records_failed() const { return failed_.load(); }
 
  private:
-  FeedImporter(Database* db, Table* table, Statement update_stmt,
-               Statement insert_stmt);
+  FeedImporter(Database* db, Table* table, PreparedStatementPtr update,
+               PreparedStatementPtr insert);
 
   /// Applies one record inside its own transaction. When run from a
   /// submitted task, `tcb` carries the record's root trace context into
@@ -90,8 +90,8 @@ class FeedImporter {
 
   Database* db_;
   Table* table_;
-  Statement update_stmt_;  // update t set c2=?, ... where key=?
-  Statement insert_stmt_;  // insert into t values (?, ?, ...)
+  PreparedStatementPtr update_;  // update t set c2=?, ... where key=?
+  PreparedStatementPtr insert_;  // insert into t values (?, ?, ...)
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> applied_{0};
   std::atomic<uint64_t> failed_{0};

@@ -121,7 +121,6 @@ Status RuleEngine::FireRule(const RuleDef& rule, Transaction* txn,
   ctx.transition = &transition;
   ctx.funcs = deps_.scalar_funcs;
   ctx.pseudo = &pseudo;
-  ctx.disable_compiled_exprs = deps_.disable_compiled_exprs;
   SqlExecutor executor(ctx);
 
   BoundTableSet bound;

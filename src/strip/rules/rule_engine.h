@@ -35,9 +35,6 @@ struct RuleEngineDeps {
   std::function<Status(TaskControlBlock&)> action_runner;
   /// Shared task-id allocator.
   std::atomic<uint64_t>* task_ids = nullptr;
-  /// Mirrors Database::Options::enable_compiled_exprs into the condition /
-  /// evaluate query executions.
-  bool disable_compiled_exprs = false;
 };
 
 /// Rule-processing statistics (feed the paper's metrics). Atomic because

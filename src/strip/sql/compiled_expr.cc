@@ -30,7 +30,12 @@ struct ExprCompiler {
     return static_cast<int32_t>(out->ops_.size() - 1);
   }
 
-  Status EmitColumnRef(const Expr& expr) {
+  void EmitError(Status error) {
+    out->errors_.push_back(std::move(error));
+    Emit(ExprOpCode::kError, static_cast<int32_t>(out->errors_.size() - 1));
+  }
+
+  void EmitColumnRef(const Expr& expr) {
     if (inputs != nullptr) {
       auto acc = inputs->Resolve(expr.qualifier, expr.column);
       if (acc.ok()) {
@@ -41,117 +46,117 @@ struct ExprCompiler {
         } else {
           Emit(ExprOpCode::kPushSlot, in.slot, acc->column);
         }
-        return Status::OK();
+        return;
       }
-      return EmitPseudoOrFail(expr, acc.status());
+      return EmitPseudoOrError(expr, acc.status());
     }
     if (schema != nullptr) {
       if (expr.qualifier.empty() || expr.qualifier == *table_name) {
         int c = schema->FindColumn(expr.column);
         if (c >= 0) {
           Emit(ExprOpCode::kPushRecord, c);
-          return Status::OK();
+          return;
         }
       }
-      return EmitPseudoOrFail(
+      return EmitPseudoOrError(
           expr, Status::NotFound(StrFormat("unknown column '%s'",
                                            expr.column.c_str())));
     }
-    return Status::InvalidArgument(StrFormat(
-        "column '%s' referenced in a constant context", expr.column.c_str()));
+    EmitError(Status::InvalidArgument(StrFormat(
+        "column '%s' referenced in a constant context", expr.column.c_str())));
   }
 
-  Status EmitPseudoOrFail(const Expr& expr, Status resolve_error) {
+  void EmitPseudoOrError(const Expr& expr, Status resolve_error) {
     if (expr.qualifier.empty() && pseudo != nullptr &&
         pseudo->count(expr.column) > 0) {
       out->names_.push_back(expr.column);
       Emit(ExprOpCode::kPushPseudo,
            static_cast<int32_t>(out->names_.size() - 1));
-      return Status::OK();
+      return;
     }
-    return resolve_error;
+    EmitError(std::move(resolve_error));
   }
 
-  Status EmitExpr(const Expr& expr) {
+  void EmitExpr(const Expr& expr) {
     switch (expr.kind) {
       case ExprKind::kLiteral:
         Emit(ExprOpCode::kPushLiteral, AddLiteral(expr.literal));
-        return Status::OK();
+        return;
       case ExprKind::kParameter:
-        if (expr.param_index < 0) {
-          return Status::InvalidArgument("negative parameter index");
-        }
         Emit(ExprOpCode::kPushParam, expr.param_index);
-        return Status::OK();
+        return;
       case ExprKind::kColumnRef:
         return EmitColumnRef(expr);
       case ExprKind::kBinary: {
         if (expr.bin_op == BinaryOp::kAnd || expr.bin_op == BinaryOp::kOr) {
           // lhs; JumpIf{False,True} end; rhs; ToBool; end:
-          STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[0]));
+          EmitExpr(*expr.args[0]);
           int32_t jump = Emit(expr.bin_op == BinaryOp::kAnd
                                   ? ExprOpCode::kJumpIfFalse
                                   : ExprOpCode::kJumpIfTrue);
-          STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[1]));
+          EmitExpr(*expr.args[1]);
           Emit(ExprOpCode::kToBool);
           out->ops_[static_cast<size_t>(jump)].a =
               static_cast<int32_t>(out->ops_.size());
-          return Status::OK();
+          return;
         }
-        STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[0]));
-        STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[1]));
+        EmitExpr(*expr.args[0]);
+        EmitExpr(*expr.args[1]);
         ExprOp op;
         op.code = ExprOpCode::kBinary;
         op.bin_op = expr.bin_op;
         out->ops_.push_back(op);
-        return Status::OK();
+        return;
       }
       case ExprKind::kUnary:
-        STRIP_RETURN_IF_ERROR(EmitExpr(*expr.args[0]));
+        EmitExpr(*expr.args[0]);
         Emit(expr.un_op == UnaryOp::kNot ? ExprOpCode::kNot
                                          : ExprOpCode::kNegate);
-        return Status::OK();
+        return;
       case ExprKind::kFuncCall: {
-        if (funcs == nullptr) {
-          return Status::InvalidArgument(StrFormat(
-              "no function registry for call to '%s'",
-              expr.func_name.c_str()));
-        }
-        const ScalarFunc* fn = funcs->Find(expr.func_name);
+        // The function is looked up before its arguments run.
+        const ScalarFunc* fn =
+            funcs != nullptr ? funcs->Find(expr.func_name) : nullptr;
         if (fn == nullptr) {
-          return Status::NotFound(StrFormat("unknown function '%s'",
-                                            expr.func_name.c_str()));
+          return EmitError(
+              funcs == nullptr
+                  ? Status::InvalidArgument(
+                        StrFormat("no function registry for call to '%s'",
+                                  expr.func_name.c_str()))
+                  : Status::NotFound(StrFormat("unknown function '%s'",
+                                               expr.func_name.c_str())));
         }
-        for (const auto& a : expr.args) STRIP_RETURN_IF_ERROR(EmitExpr(*a));
+        for (const auto& a : expr.args) EmitExpr(*a);
         out->call_funcs_.push_back(fn);
         Emit(ExprOpCode::kCall,
              static_cast<int32_t>(out->call_funcs_.size() - 1),
              static_cast<int32_t>(expr.args.size()));
-        return Status::OK();
+        return;
       }
       case ExprKind::kAggregate:
-        return Status::Unimplemented(StrFormat(
-            "aggregate %s() cannot be compiled", expr.func_name.c_str()));
+        out->aggs_.push_back(&expr);
+        Emit(ExprOpCode::kPushAggregate,
+             static_cast<int32_t>(out->aggs_.size() - 1));
+        return;
     }
-    return Status::Internal("unexpected expression kind");
+    EmitError(Status::Internal("unexpected expression kind"));
   }
 };
 
 namespace {
 
-Result<CompiledExpr> RunCompiler(const Expr& expr, ExprCompiler compiler) {
+CompiledExpr RunCompiler(const Expr& expr, ExprCompiler compiler) {
   CompiledExpr compiled;
   compiler.out = &compiled;
-  STRIP_RETURN_IF_ERROR(compiler.EmitExpr(expr));
+  compiler.EmitExpr(expr);
   return compiled;
 }
 
 }  // namespace
 
-Result<CompiledExpr> CompiledExpr::Compile(
-    const Expr& expr, const InputSet& inputs,
-    const std::map<std::string, Value>* pseudo,
-    const ScalarFuncRegistry* funcs) {
+CompiledExpr CompiledExpr::Compile(const Expr& expr, const InputSet& inputs,
+                                   const std::map<std::string, Value>* pseudo,
+                                   const ScalarFuncRegistry* funcs) {
   ExprCompiler c;
   c.inputs = &inputs;
   c.pseudo = pseudo;
@@ -159,7 +164,7 @@ Result<CompiledExpr> CompiledExpr::Compile(
   return RunCompiler(expr, c);
 }
 
-Result<CompiledExpr> CompiledExpr::CompileSingleTable(
+CompiledExpr CompiledExpr::CompileSingleTable(
     const Expr& expr, const std::string& table_name, const Schema& schema,
     const std::map<std::string, Value>* pseudo,
     const ScalarFuncRegistry* funcs) {
@@ -171,8 +176,8 @@ Result<CompiledExpr> CompiledExpr::CompileSingleTable(
   return RunCompiler(expr, c);
 }
 
-Result<CompiledExpr> CompiledExpr::CompileConstant(
-    const Expr& expr, const ScalarFuncRegistry* funcs) {
+CompiledExpr CompiledExpr::CompileConstant(const Expr& expr,
+                                           const ScalarFuncRegistry* funcs) {
   ExprCompiler c;
   c.funcs = funcs;
   return RunCompiler(expr, c);
@@ -190,7 +195,7 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
         st.push_back(literals_[static_cast<size_t>(op.a)]);
         break;
       case ExprOpCode::kPushParam:
-        if (frame.params == nullptr ||
+        if (frame.params == nullptr || op.a < 0 ||
             op.a >= static_cast<int32_t>(frame.params->size())) {
           return Status::InvalidArgument(
               StrFormat("unbound statement parameter ?%d", op.a + 1));
@@ -198,6 +203,10 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
         st.push_back((*frame.params)[static_cast<size_t>(op.a)]);
         break;
       case ExprOpCode::kPushSlot: {
+        if (frame.null_columns) {
+          st.emplace_back();
+          break;
+        }
         const RecordRef& rec = frame.row->slots[static_cast<size_t>(op.a)];
         if (rec == nullptr) {
           return Status::Internal("compiled read of an unjoined input slot");
@@ -206,12 +215,24 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
         break;
       }
       case ExprOpCode::kPushExtra:
+        if (frame.null_columns) {
+          st.emplace_back();
+          break;
+        }
         st.push_back(frame.row->extras[static_cast<size_t>(op.a)]);
         break;
       case ExprOpCode::kPushRecord:
+        if (frame.null_columns) {
+          st.emplace_back();
+          break;
+        }
         st.push_back(frame.rec->values[static_cast<size_t>(op.a)]);
         break;
       case ExprOpCode::kPushPseudo: {
+        if (frame.null_columns) {
+          st.emplace_back();
+          break;
+        }
         const std::string& name = names_[static_cast<size_t>(op.a)];
         if (frame.pseudo != nullptr) {
           auto it = frame.pseudo->find(name);
@@ -222,6 +243,19 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
         }
         return Status::NotFound(
             StrFormat("unknown column '%s'", name.c_str()));
+      }
+      case ExprOpCode::kPushAggregate: {
+        const Expr* agg = aggs_[static_cast<size_t>(op.a)];
+        if (frame.aggregates != nullptr) {
+          auto it = frame.aggregates->find(agg);
+          if (it != frame.aggregates->end()) {
+            st.push_back(it->second);
+            break;
+          }
+        }
+        return Status::InvalidArgument(
+            StrFormat("aggregate %s() outside of a select list",
+                      agg->func_name.c_str()));
       }
       case ExprOpCode::kBinary: {
         STRIP_ASSIGN_OR_RETURN(
@@ -282,6 +316,8 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
       case ExprOpCode::kToBool:
         st.back() = Value::Bool(st.back().IsTruthy());
         break;
+      case ExprOpCode::kError:
+        return errors_[static_cast<size_t>(op.a)];
     }
     ++pc;
   }

@@ -11,46 +11,6 @@ namespace strip {
 
 namespace {
 
-/// RowContext over a single table record (UPDATE / DELETE row filtering).
-class SingleTableRowContext final : public RowContext {
- public:
-  SingleTableRowContext(const std::string& table_name, const Schema* schema,
-                        const std::map<std::string, Value>* pseudo)
-      : table_name_(table_name), schema_(schema), pseudo_(pseudo) {}
-
-  void set_record(const Record* rec) { rec_ = rec; }
-
-  Result<Value> GetColumn(const std::string& qualifier,
-                          const std::string& column) const override {
-    if (qualifier.empty() || qualifier == table_name_) {
-      int c = schema_->FindColumn(column);
-      if (c >= 0) return rec_->values[static_cast<size_t>(c)];
-    }
-    if (qualifier.empty() && pseudo_ != nullptr) {
-      auto it = pseudo_->find(column);
-      if (it != pseudo_->end()) return it->second;
-    }
-    return Status::NotFound(StrFormat("unknown column '%s'", column.c_str()));
-  }
-
- private:
-  // By value: callers may pass a temporary name, and the context outlives
-  // the full expression in which it was constructed.
-  const std::string table_name_;
-  const Schema* schema_;
-  const std::map<std::string, Value>* pseudo_;
-  const Record* rec_ = nullptr;
-};
-
-/// RowContext that resolves every column to null (empty aggregate groups).
-class NullRowContext final : public RowContext {
- public:
-  Result<Value> GetColumn(const std::string&,
-                          const std::string&) const override {
-    return Value::Null();
-  }
-};
-
 /// True iff `expr` contains no column references (after pseudo columns are
 /// accounted as constants they still count as non-column here only if they
 /// are resolvable; we treat any colref as non-constant for safety except
@@ -169,55 +129,6 @@ struct AggState {
   }
 };
 
-/// Evaluates an expression in which aggregate nodes take pre-computed
-/// values from `agg_values` (keyed by node pointer).
-Result<Value> EvalWithAggregates(
-    const Expr& expr, const RowContext& ctx,
-    const std::unordered_map<const Expr*, Value>& agg_values,
-    const ScalarFuncRegistry* funcs, const std::vector<Value>* params) {
-  auto it = agg_values.find(&expr);
-  if (it != agg_values.end()) return it->second;
-  if (!expr.ContainsAggregate()) return EvalExpr(expr, &ctx, funcs, params);
-  switch (expr.kind) {
-    case ExprKind::kBinary: {
-      STRIP_ASSIGN_OR_RETURN(
-          Value l, EvalWithAggregates(*expr.args[0], ctx, agg_values, funcs, params));
-      STRIP_ASSIGN_OR_RETURN(
-          Value r, EvalWithAggregates(*expr.args[1], ctx, agg_values, funcs, params));
-      return EvalBinaryOp(expr.bin_op, l, r);
-    }
-    case ExprKind::kUnary: {
-      STRIP_ASSIGN_OR_RETURN(
-          Value v, EvalWithAggregates(*expr.args[0], ctx, agg_values, funcs, params));
-      if (expr.un_op == UnaryOp::kNot) return Value::Bool(!v.IsTruthy());
-      if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt) return Value::Int(-v.as_int());
-      return Value::Double(-v.as_double());
-    }
-    case ExprKind::kFuncCall: {
-      if (funcs == nullptr) {
-        return Status::InvalidArgument("no function registry");
-      }
-      const ScalarFunc* fn = funcs->Find(expr.func_name);
-      if (fn == nullptr) {
-        return Status::NotFound(
-            StrFormat("unknown function '%s'", expr.func_name.c_str()));
-      }
-      std::vector<Value> args;
-      for (const auto& a : expr.args) {
-        STRIP_ASSIGN_OR_RETURN(
-            Value v, EvalWithAggregates(*a, ctx, agg_values, funcs, params));
-        args.push_back(std::move(v));
-      }
-      return (*fn)(args);
-    }
-    case ExprKind::kAggregate:
-      return Status::InvalidArgument("nested aggregate calls");
-    default:
-      return Status::Internal("unexpected aggregate expression shape");
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -268,36 +179,26 @@ Status SqlExecutor::LockTable(Table* table, LockMode mode) {
 
 Result<Value> SqlExecutor::Eval(const Expr& expr, const InputSet& inputs,
                                 const JoinRow& row) {
-  if (!ctx_.disable_compiled_exprs) {
-    const CompiledExpr* prog = nullptr;
-    if (ctx_.precompiled != nullptr) {
-      auto it = ctx_.precompiled->find(&expr);
-      if (it != ctx_.precompiled->end()) prog = &it->second;
-    }
-    if (prog == nullptr && interpret_only_.count(&expr) == 0) {
-      auto it = compiled_.find(&expr);
-      if (it == compiled_.end()) {
-        auto c = CompiledExpr::Compile(expr, inputs, ctx_.pseudo, ctx_.funcs);
-        if (c.ok()) {
-          it = compiled_.emplace(&expr, std::move(*c)).first;
-        } else {
-          // Unresolvable / uncompilable: the interpreter preserves lazy
-          // error semantics (e.g. a bogus column behind a short-circuit).
-          interpret_only_.insert(&expr);
-        }
-      }
-      if (it != compiled_.end()) prog = &it->second;
-    }
-    if (prog != nullptr) {
-      frame_.row = &row;
-      frame_.rec = nullptr;
-      frame_.params = ctx_.params;
-      frame_.pseudo = ctx_.pseudo;
-      return prog->Eval(frame_);
-    }
+  const CompiledExpr* prog = nullptr;
+  if (ctx_.precompiled != nullptr) {
+    auto it = ctx_.precompiled->find(&expr);
+    if (it != ctx_.precompiled->end()) prog = &it->second;
   }
-  JoinRowContext ctx(&inputs, &row, ctx_.pseudo);
-  return EvalExpr(expr, &ctx, ctx_.funcs, ctx_.params);
+  if (prog == nullptr) {
+    auto it = compiled_.find(&expr);
+    if (it == compiled_.end()) {
+      it = compiled_
+               .emplace(&expr, CompiledExpr::Compile(expr, inputs, ctx_.pseudo,
+                                                     ctx_.funcs))
+               .first;
+    }
+    prog = &it->second;
+  }
+  frame_.row = &row;
+  frame_.rec = nullptr;
+  frame_.params = ctx_.params;
+  frame_.pseudo = ctx_.pseudo;
+  return prog->Eval(frame_);
 }
 
 Status SqlExecutor::ScanInput(
@@ -715,7 +616,6 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
   // Programs cached in earlier executions carry slot positions for a
   // different InputSet; drop them before touching this one.
   compiled_.clear();
-  interpret_only_.clear();
 
   // Locks are per-execution, never part of a frozen plan: re-acquire shared
   // locks on every standard input (a no-op when BindFrom just did).
@@ -856,39 +756,31 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
       groups.emplace(std::vector<Value>{}, std::move(g));
     }
 
-    NullRowContext null_ctx;
+    // Output expressions read the group's finalized aggregates and its
+    // representative row; in the empty global group every column is NULL.
     struct OutRow {
       std::vector<Value> values;
       std::vector<Value> sort_keys;
     };
     std::vector<OutRow> produced;
     produced.reserve(groups.size());
-    for (auto& [key, group] : groups) {
-      std::unordered_map<const Expr*, Value> agg_values;
+    AggregateValues agg_values;
+    const JoinRow no_row;
+    auto produce = [&](const Group& group) -> Status {
       for (size_t a = 0; a < agg_nodes.size(); ++a) {
         agg_values[agg_nodes[a]] = group.states[a].Finalize(*agg_nodes[a]);
       }
-      JoinRowContext row_ctx(&inputs,
-                             group.representative == SIZE_MAX
-                                 ? nullptr
-                                 : &rows[group.representative],
-                             ctx_.pseudo);
-      const RowContext& ctx =
-          group.representative == SIZE_MAX
-              ? static_cast<const RowContext&>(null_ctx)
-              : static_cast<const RowContext&>(row_ctx);
+      frame_.null_columns = group.representative == SIZE_MAX;
+      const JoinRow& row =
+          frame_.null_columns ? no_row : rows[group.representative];
       if (stmt.having != nullptr) {
-        STRIP_ASSIGN_OR_RETURN(
-            Value keep, EvalWithAggregates(*stmt.having, ctx, agg_values,
-                                           ctx_.funcs, ctx_.params));
-        if (!keep.IsTruthy()) continue;
+        STRIP_ASSIGN_OR_RETURN(Value keep, Eval(*stmt.having, inputs, row));
+        if (!keep.IsTruthy()) return Status::OK();
       }
       OutRow out;
       out.values.reserve(items->size());
       for (const SelectItem& item : *items) {
-        STRIP_ASSIGN_OR_RETURN(
-            Value v, EvalWithAggregates(*item.expr, ctx, agg_values,
-                                        ctx_.funcs, ctx_.params));
+        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, inputs, row));
         out.values.push_back(std::move(v));
       }
       for (const auto& ob : stmt.order_by) {
@@ -900,15 +792,22 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
               out.values[static_cast<size_t>(
                   out_schema.FindColumn(ob.expr->column))]);
         } else {
-          STRIP_ASSIGN_OR_RETURN(
-              Value v,
-              EvalWithAggregates(*ob.expr, ctx, agg_values, ctx_.funcs,
-                                 ctx_.params));
+          STRIP_ASSIGN_OR_RETURN(Value v, Eval(*ob.expr, inputs, row));
           out.sort_keys.push_back(std::move(v));
         }
       }
       produced.push_back(std::move(out));
+      return Status::OK();
+    };
+    Status st;
+    frame_.aggregates = &agg_values;
+    for (const auto& [key, group] : groups) {
+      st = produce(group);
+      if (!st.ok()) break;
     }
+    frame_.aggregates = nullptr;
+    frame_.null_columns = false;
+    STRIP_RETURN_IF_ERROR(st);
     if (!stmt.order_by.empty()) {
       Trace(StrFormat("sort %zu group row(s)", produced.size()));
       std::stable_sort(produced.begin(), produced.end(),
@@ -1069,180 +968,190 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
 
 namespace {
 
-/// Rows of `table` matching `where`, using an indexed `col = const` probe
-/// when available. `funcs` / `pseudo` as in the executor context.
-Result<std::vector<RowHandle>> CollectMatchingRows(
-    Table* table, const Expr* where, const ScalarFuncRegistry* funcs,
-    const std::map<std::string, Value>* pseudo,
-    const std::vector<Value>* params, uint64_t* rows_scanned = nullptr) {
-  std::vector<RowHandle> out;
-  SingleTableRowContext ctx(table->name(), &table->schema(), pseudo);
-
-  // Try `col = const` probe over the conjuncts.
+/// Finds the first indexed `col = <column-free expr>` conjunct of `where`
+/// and compiles its key; leaves plan.index null when there is none.
+void PlanIndexProbe(DmlPlan& plan, const Expr* where,
+                    const ScalarFuncRegistry* funcs) {
   std::vector<const Expr*> conjuncts;
   SplitConjuncts(where, conjuncts);
-  Index* index = nullptr;
-  Value key;
+  const Schema& schema = plan.table->schema();
   for (const Expr* f : conjuncts) {
     if (f->kind != ExprKind::kBinary || f->bin_op != BinaryOp::kEq) continue;
-    for (int side = 0; side < 2 && index == nullptr; ++side) {
+    for (int side = 0; side < 2; ++side) {
       const Expr& col_side = *f->args[static_cast<size_t>(side)];
       const Expr& const_side = *f->args[static_cast<size_t>(1 - side)];
       if (col_side.kind != ExprKind::kColumnRef) continue;
-      if (!col_side.qualifier.empty() && col_side.qualifier != table->name()) {
+      if (!col_side.qualifier.empty() &&
+          col_side.qualifier != plan.table->name()) {
         continue;
       }
-      int c = table->schema().FindColumn(col_side.column);
-      if (c < 0) continue;
-      Index* idx = table->FindIndexByPosition(c);
+      int c = schema.FindColumn(col_side.column);
+      if (c < 0 || !IsColumnFree(const_side)) continue;
+      Index* idx = plan.table->FindIndexByPosition(c);
       if (idx == nullptr) continue;
-      // The other side must be constant (no column references).
-      auto probe = EvalExpr(const_side, nullptr, funcs, params);
-      if (!probe.ok()) continue;
-      key = probe.take();
-      index = idx;
+      plan.index = idx;
+      plan.index_key = CompiledExpr::CompileConstant(const_side, funcs);
+      plan.note = StrFormat("dml: index probe on %s.%s",
+                            plan.table->name().c_str(),
+                            schema.column(c).name.c_str());
+      return;
     }
-    if (index != nullptr) break;
   }
+  plan.note = StrFormat("dml: full scan of %s", plan.table->name().c_str());
+}
 
-  auto matches = [&](const RecordRef& rec) -> Result<bool> {
-    if (where == nullptr) return true;
-    ctx.set_record(rec.get());
-    STRIP_ASSIGN_OR_RETURN(Value v, EvalExpr(*where, &ctx, funcs, params));
-    return v.IsTruthy();
-  };
-
-  if (index != nullptr) {
-    std::vector<RowHandle> candidates;
-    index->Lookup(key, candidates);
-    for (RowHandle r : candidates) {
-      STRIP_ASSIGN_OR_RETURN(bool ok, matches(r->rec));
-      if (ok) out.push_back(r);
-    }
-    return out;
-  }
-  PageManager::ScanPos pos;
-  ScanBatch batch;
-  while (table->NextBatch(pos, batch)) {
-    if (rows_scanned != nullptr) *rows_scanned += batch.count;
-    for (size_t i = 0; i < batch.count; ++i) {
-      STRIP_ASSIGN_OR_RETURN(bool ok, matches(batch.rows[i]->rec));
-      if (ok) out.push_back(batch.rows[i]);
-    }
-  }
-  return out;
+Status NoColumn(const std::string& column, const std::string& table) {
+  return Status::NotFound(StrFormat("no column '%s' in table '%s'",
+                                    column.c_str(), table.c_str()));
 }
 
 }  // namespace
 
-Result<int> SqlExecutor::ExecuteInsert(const InsertStmt& stmt) {
-  if (ctx_.catalog == nullptr) {
-    return Status::FailedPrecondition("no catalog");
-  }
-  if (ctx_.txn == nullptr) {
-    return Status::FailedPrecondition("INSERT requires a transaction");
-  }
-  STRIP_ASSIGN_OR_RETURN(Table * table, ctx_.catalog->GetTable(stmt.table));
-  STRIP_RETURN_IF_ERROR(LockTable(table, LockMode::kExclusive));
-  const Schema& schema = table->schema();
-
-  // Column mapping: position in VALUES -> column position.
-  std::vector<int> mapping;
-  if (stmt.columns.empty()) {
-    for (int i = 0; i < schema.num_columns(); ++i) mapping.push_back(i);
-  } else {
-    for (const std::string& col : stmt.columns) {
-      int c = schema.FindColumn(col);
-      if (c < 0) {
-        return Status::NotFound(StrFormat("no column '%s' in table '%s'",
-                                          col.c_str(), stmt.table.c_str()));
+Result<DmlPlan> DmlPlan::Build(const Statement& stmt, const Catalog& catalog,
+                               const ScalarFuncRegistry* funcs) {
+  DmlPlan plan;
+  if (const auto* s = std::get_if<InsertStmt>(&stmt)) {
+    plan.kind = Kind::kInsert;
+    STRIP_ASSIGN_OR_RETURN(plan.table, catalog.GetTable(s->table));
+    const Schema& schema = plan.table->schema();
+    if (s->columns.empty()) {
+      for (int i = 0; i < schema.num_columns(); ++i) {
+        plan.insert_mapping.push_back(i);
       }
-      mapping.push_back(c);
+    } else {
+      for (const std::string& col : s->columns) {
+        int c = schema.FindColumn(col);
+        if (c < 0) return NoColumn(col, s->table);
+        plan.insert_mapping.push_back(c);
+      }
     }
+    for (const auto& row_exprs : s->rows) {
+      if (row_exprs.size() != plan.insert_mapping.size()) {
+        return Status::InvalidArgument(StrFormat(
+            "INSERT arity mismatch: %zu values for %zu columns",
+            row_exprs.size(), plan.insert_mapping.size()));
+      }
+      std::vector<CompiledExpr> row;
+      row.reserve(row_exprs.size());
+      for (const ExprPtr& e : row_exprs) {
+        row.push_back(CompiledExpr::CompileConstant(*e, funcs));
+      }
+      plan.insert_rows.push_back(std::move(row));
+    }
+    plan.note = StrFormat("dml: insert %zu row(s) into %s",
+                          plan.insert_rows.size(),
+                          plan.table->name().c_str());
+    return plan;
   }
 
-  int inserted = 0;
-  for (const auto& row_exprs : stmt.rows) {
-    if (row_exprs.size() != mapping.size()) {
-      return Status::InvalidArgument(StrFormat(
-          "INSERT arity mismatch: %zu values for %zu columns",
-          row_exprs.size(), mapping.size()));
+  const Expr* where = nullptr;
+  if (const auto* s = std::get_if<UpdateStmt>(&stmt)) {
+    plan.kind = Kind::kUpdate;
+    STRIP_ASSIGN_OR_RETURN(plan.table, catalog.GetTable(s->table));
+    const Schema& schema = plan.table->schema();
+    for (const auto& sc : s->sets) {
+      int c = schema.FindColumn(sc.column);
+      if (c < 0) return NoColumn(sc.column, s->table);
+      plan.set_cols.push_back(c);
+      plan.set_exprs.push_back(CompiledExpr::CompileSingleTable(
+          *sc.expr, plan.table->name(), schema, nullptr, funcs));
     }
-    std::vector<Value> values(static_cast<size_t>(schema.num_columns()));
-    for (size_t i = 0; i < row_exprs.size(); ++i) {
-      STRIP_ASSIGN_OR_RETURN(
-          Value v, EvalExpr(*row_exprs[i], nullptr, ctx_.funcs, ctx_.params));
-      values[static_cast<size_t>(mapping[i])] = std::move(v);
-    }
-    STRIP_ASSIGN_OR_RETURN(RowHandle it, table->Insert(MakeRecord(values)));
-    ctx_.txn->log().Append(LogOp::kInsert, table, it->id, nullptr, it->rec);
-    ++inserted;
+    where = s->where.get();
+  } else if (const auto* s = std::get_if<DeleteStmt>(&stmt)) {
+    plan.kind = Kind::kDelete;
+    STRIP_ASSIGN_OR_RETURN(plan.table, catalog.GetTable(s->table));
+    where = s->where.get();
+  } else {
+    return Status::InvalidArgument("ExecuteDml takes INSERT/UPDATE/DELETE");
   }
-  return inserted;
+  if (where != nullptr) {
+    plan.where = CompiledExpr::CompileSingleTable(
+        *where, plan.table->name(), plan.table->schema(), nullptr, funcs);
+  }
+  PlanIndexProbe(plan, where, funcs);
+  return plan;
 }
 
-Result<int> SqlExecutor::ExecuteUpdate(const UpdateStmt& stmt) {
-  if (ctx_.catalog == nullptr) {
-    return Status::FailedPrecondition("no catalog");
-  }
+Result<int> SqlExecutor::ExecuteDml(const DmlPlan& plan) {
   if (ctx_.txn == nullptr) {
-    return Status::FailedPrecondition("UPDATE requires a transaction");
+    return Status::FailedPrecondition("DML requires a transaction");
   }
-  STRIP_ASSIGN_OR_RETURN(Table * table, ctx_.catalog->GetTable(stmt.table));
+  Table* table = plan.table;
   STRIP_RETURN_IF_ERROR(LockTable(table, LockMode::kExclusive));
-  const Schema& schema = table->schema();
+  frame_.row = nullptr;
+  frame_.rec = nullptr;
+  frame_.params = ctx_.params;
+  frame_.pseudo = nullptr;
 
-  std::vector<int> set_cols;
-  for (const auto& sc : stmt.sets) {
-    int c = schema.FindColumn(sc.column);
-    if (c < 0) {
-      return Status::NotFound(StrFormat("no column '%s' in table '%s'",
-                                        sc.column.c_str(),
-                                        stmt.table.c_str()));
+  if (plan.kind == DmlPlan::Kind::kInsert) {
+    const Schema& schema = table->schema();
+    int inserted = 0;
+    for (const auto& row_progs : plan.insert_rows) {
+      std::vector<Value> values(static_cast<size_t>(schema.num_columns()));
+      for (size_t i = 0; i < row_progs.size(); ++i) {
+        STRIP_ASSIGN_OR_RETURN(Value v, row_progs[i].Eval(frame_));
+        values[static_cast<size_t>(plan.insert_mapping[i])] = std::move(v);
+      }
+      STRIP_ASSIGN_OR_RETURN(RowHandle it,
+                             table->Insert(MakeRecord(std::move(values))));
+      ctx_.txn->log().Append(LogOp::kInsert, table, it->id, nullptr, it->rec);
+      ++inserted;
     }
-    set_cols.push_back(c);
+    return inserted;
   }
 
-  STRIP_ASSIGN_OR_RETURN(
-      std::vector<RowHandle> targets,
-      CollectMatchingRows(table, stmt.where.get(), ctx_.funcs, ctx_.pseudo,
-                          ctx_.params, ctx_.rows_scanned));
+  // UPDATE / DELETE: collect every matching row first, then apply, so the
+  // statement never sees its own changes.
+  auto matches = [&](const RecordRef& rec) -> Result<bool> {
+    if (!plan.where.has_value()) return true;
+    frame_.rec = rec.get();
+    STRIP_ASSIGN_OR_RETURN(Value v, plan.where->Eval(frame_));
+    return v.IsTruthy();
+  };
+  std::optional<Value> key;
+  if (plan.index != nullptr) {
+    // A key that fails to evaluate falls back to the scan: the full WHERE
+    // subsumes the probe conjunct and reports the error lazily, per row.
+    auto k = plan.index_key->Eval(frame_);
+    if (k.ok()) key = k.take();
+  }
+  std::vector<RowHandle> targets;
+  if (key.has_value()) {
+    std::vector<RowHandle> candidates;
+    plan.index->Lookup(*key, candidates);
+    for (RowHandle r : candidates) {
+      STRIP_ASSIGN_OR_RETURN(bool ok, matches(r->rec));
+      if (ok) targets.push_back(r);
+    }
+  } else {
+    PageManager::ScanPos pos;
+    ScanBatch batch;
+    while (table->NextBatch(pos, batch)) {
+      if (ctx_.rows_scanned != nullptr) *ctx_.rows_scanned += batch.count;
+      for (size_t i = 0; i < batch.count; ++i) {
+        STRIP_ASSIGN_OR_RETURN(bool ok, matches(batch.rows[i]->rec));
+        if (ok) targets.push_back(batch.rows[i]);
+      }
+    }
+  }
 
-  SingleTableRowContext ctx(table->name(), &schema, ctx_.pseudo);
+  if (plan.kind == DmlPlan::Kind::kDelete) {
+    for (RowHandle it : targets) {
+      ctx_.txn->log().Append(LogOp::kDelete, table, it->id, it->rec, nullptr);
+      table->Erase(it);
+    }
+    return static_cast<int>(targets.size());
+  }
   for (RowHandle it : targets) {
     RecordRef old_rec = it->rec;
-    ctx.set_record(old_rec.get());
+    frame_.rec = old_rec.get();
     std::vector<Value> values = old_rec->values;
-    for (size_t i = 0; i < stmt.sets.size(); ++i) {
-      STRIP_ASSIGN_OR_RETURN(
-          Value v,
-          EvalExpr(*stmt.sets[i].expr, &ctx, ctx_.funcs, ctx_.params));
-      values[static_cast<size_t>(set_cols[i])] = std::move(v);
+    for (size_t i = 0; i < plan.set_exprs.size(); ++i) {
+      STRIP_ASSIGN_OR_RETURN(Value v, plan.set_exprs[i].Eval(frame_));
+      values[static_cast<size_t>(plan.set_cols[i])] = std::move(v);
     }
     STRIP_RETURN_IF_ERROR(table->Update(it, MakeRecord(std::move(values))));
     ctx_.txn->log().Append(LogOp::kUpdate, table, it->id, old_rec, it->rec);
-  }
-  return static_cast<int>(targets.size());
-}
-
-Result<int> SqlExecutor::ExecuteDelete(const DeleteStmt& stmt) {
-  if (ctx_.catalog == nullptr) {
-    return Status::FailedPrecondition("no catalog");
-  }
-  if (ctx_.txn == nullptr) {
-    return Status::FailedPrecondition("DELETE requires a transaction");
-  }
-  STRIP_ASSIGN_OR_RETURN(Table * table, ctx_.catalog->GetTable(stmt.table));
-  STRIP_RETURN_IF_ERROR(LockTable(table, LockMode::kExclusive));
-
-  STRIP_ASSIGN_OR_RETURN(
-      std::vector<RowHandle> targets,
-      CollectMatchingRows(table, stmt.where.get(), ctx_.funcs, ctx_.pseudo,
-                          ctx_.params, ctx_.rows_scanned));
-
-  for (RowHandle it : targets) {
-    ctx_.txn->log().Append(LogOp::kDelete, table, it->id, it->rec, nullptr);
-    table->Erase(it);
   }
   return static_cast<int>(targets.size());
 }

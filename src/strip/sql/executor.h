@@ -2,15 +2,14 @@
 #define STRIP_SQL_EXECUTOR_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "strip/common/status.h"
 #include "strip/sql/ast.h"
 #include "strip/sql/compiled_expr.h"
-#include "strip/sql/expr_eval.h"
 #include "strip/sql/plan.h"
 #include "strip/storage/bound_table_set.h"
 #include "strip/storage/catalog.h"
@@ -43,13 +42,38 @@ struct ExecContext {
   /// statement keeps the nodes alive). Consulted before the executor's own
   /// per-statement compile cache.
   const std::unordered_map<const Expr*, CompiledExpr>* precompiled = nullptr;
-  /// Forces interpreted expression evaluation
-  /// (Database::Options::enable_compiled_exprs = false).
-  bool disable_compiled_exprs = false;
-  /// When non-null, batched scans add the rows they visit here — the
-  /// engine points it at the executing task's rows_scanned so per-rule
-  /// cost counters can attribute scan work (src/strip/obs/rule_cost.h).
+  /// When non-null, full scans (SELECT inputs and DML) add the rows they
+  /// visit here — the engine points it at the executing task's
+  /// rows_scanned so per-rule cost counters can attribute scan work
+  /// (src/strip/obs/rule_cost.h).
   uint64_t* rows_scanned = nullptr;
+};
+
+/// A single-table INSERT / UPDATE / DELETE resolved against the catalog:
+/// the target table, slot-compiled SET / WHERE / VALUES programs, the
+/// indexed `col = const` probe and the INSERT column mapping. It holds raw
+/// Table* / Index* pointers, so it is valid for one catalog generation.
+/// Prepared statements cache one; the textual and Statement entry points
+/// build one per call.
+struct DmlPlan {
+  enum class Kind { kInsert, kUpdate, kDelete };
+
+  /// Resolves `stmt` (which must be DML) against `catalog`. NotFound for a
+  /// missing table or column, InvalidArgument for an INSERT arity mismatch.
+  static Result<DmlPlan> Build(const Statement& stmt, const Catalog& catalog,
+                               const ScalarFuncRegistry* funcs);
+
+  Kind kind = Kind::kInsert;
+  Table* table = nullptr;
+  std::vector<int> set_cols;            // UPDATE
+  std::vector<CompiledExpr> set_exprs;  // UPDATE, parallel to set_cols
+  std::optional<CompiledExpr> where;    // UPDATE / DELETE; nullopt = all
+  Index* index = nullptr;               // indexed `col = const` probe
+  std::optional<CompiledExpr> index_key;  // constant program for the key
+  std::vector<int> insert_mapping;      // INSERT: value position -> column
+  std::vector<std::vector<CompiledExpr>> insert_rows;
+  /// The access path, for plan introspection ("dml: index probe on t.k").
+  std::string note;
 };
 
 /// Executes parsed statements. Stateless between calls; cheap to construct.
@@ -75,10 +99,11 @@ class SqlExecutor {
                                        const std::vector<Conjunct>& conjuncts,
                                        const std::string& output_name);
 
-  /// DML; returns the number of affected rows.
-  Result<int> ExecuteInsert(const InsertStmt& stmt);
-  Result<int> ExecuteUpdate(const UpdateStmt& stmt);
-  Result<int> ExecuteDelete(const DeleteStmt& stmt);
+  /// The one DML routine: locks the table exclusively, reaches candidate
+  /// rows through the plan's index probe or a full scan (counted into
+  /// rows_scanned), collects the rows the WHERE program accepts, then
+  /// applies and logs the change to each. Returns the affected row count.
+  Result<int> ExecuteDml(const DmlPlan& plan);
 
  private:
   /// An element scanned from an input: exactly one of rec / tuple set.
@@ -103,7 +128,8 @@ class SqlExecutor {
   Result<std::vector<JoinRow>> RunJoin(const InputSet& inputs,
                                        const std::vector<Conjunct>& conjuncts);
 
-  /// Evaluates `expr` against `row`.
+  /// Evaluates `expr` against `row` through its compiled program (looked
+  /// up in the precompiled map, else compiled once per execution).
   Result<Value> Eval(const Expr& expr, const InputSet& inputs,
                      const JoinRow& row);
 
@@ -117,7 +143,6 @@ class SqlExecutor {
   /// resolved against that execution's InputSet (which lives on the
   /// caller's stack), so they must not survive into the next call.
   std::unordered_map<const Expr*, CompiledExpr> compiled_;
-  std::unordered_set<const Expr*> interpret_only_;
   EvalFrame frame_;
 };
 

@@ -108,80 +108,6 @@ Result<Value> EvalBinaryOp(BinaryOp op, const Value& a, const Value& b) {
   return Status::Internal("unexpected binary operator");
 }
 
-Result<Value> EvalExpr(const Expr& expr, const RowContext* row,
-                       const ScalarFuncRegistry* funcs,
-                       const std::vector<Value>* params) {
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      return expr.literal;
-    case ExprKind::kParameter: {
-      if (params == nullptr ||
-          expr.param_index >= static_cast<int>(params->size()) ||
-          expr.param_index < 0) {
-        return Status::InvalidArgument(StrFormat(
-            "unbound statement parameter ?%d", expr.param_index + 1));
-      }
-      return (*params)[static_cast<size_t>(expr.param_index)];
-    }
-    case ExprKind::kColumnRef: {
-      if (row == nullptr) {
-        return Status::InvalidArgument(StrFormat(
-            "column '%s' referenced in a constant context",
-            expr.column.c_str()));
-      }
-      return row->GetColumn(expr.qualifier, expr.column);
-    }
-    case ExprKind::kBinary: {
-      // Short-circuit AND/OR on the left operand.
-      if (expr.bin_op == BinaryOp::kAnd || expr.bin_op == BinaryOp::kOr) {
-        STRIP_ASSIGN_OR_RETURN(Value lhs,
-                               EvalExpr(*expr.args[0], row, funcs, params));
-        bool l = lhs.IsTruthy();
-        if (expr.bin_op == BinaryOp::kAnd && !l) return Value::Bool(false);
-        if (expr.bin_op == BinaryOp::kOr && l) return Value::Bool(true);
-        STRIP_ASSIGN_OR_RETURN(Value rhs,
-                               EvalExpr(*expr.args[1], row, funcs, params));
-        return Value::Bool(rhs.IsTruthy());
-      }
-      STRIP_ASSIGN_OR_RETURN(Value lhs, EvalExpr(*expr.args[0], row, funcs, params));
-      STRIP_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*expr.args[1], row, funcs, params));
-      return EvalBinaryOp(expr.bin_op, lhs, rhs);
-    }
-    case ExprKind::kUnary: {
-      STRIP_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr.args[0], row, funcs, params));
-      if (expr.un_op == UnaryOp::kNot) {
-        return Value::Bool(!v.IsTruthy());
-      }
-      if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt) return Value::Int(-v.as_int());
-      if (v.type() == ValueType::kDouble) return Value::Double(-v.as_double());
-      return Status::InvalidArgument("negation of non-numeric value");
-    }
-    case ExprKind::kFuncCall: {
-      if (funcs == nullptr) {
-        return Status::InvalidArgument(StrFormat(
-            "no function registry for call to '%s'", expr.func_name.c_str()));
-      }
-      const ScalarFunc* fn = funcs->Find(expr.func_name);
-      if (fn == nullptr) {
-        return Status::NotFound(StrFormat("unknown function '%s'",
-                                          expr.func_name.c_str()));
-      }
-      std::vector<Value> args;
-      args.reserve(expr.args.size());
-      for (const auto& a : expr.args) {
-        STRIP_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, row, funcs, params));
-        args.push_back(std::move(v));
-      }
-      return (*fn)(args);
-    }
-    case ExprKind::kAggregate:
-      return Status::InvalidArgument(StrFormat(
-          "aggregate %s() outside of a select list", expr.func_name.c_str()));
-  }
-  return Status::Internal("unexpected expression kind");
-}
-
 Status ScalarFuncRegistry::Register(const std::string& name, ScalarFunc fn) {
   std::string key = ToLower(name);
   if (funcs_.count(key) > 0) {

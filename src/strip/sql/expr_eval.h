@@ -12,17 +12,6 @@
 
 namespace strip {
 
-/// Resolves column references during expression evaluation.
-class RowContext {
- public:
-  virtual ~RowContext() = default;
-
-  /// Value of `qualifier.column` (qualifier may be empty for bare names).
-  /// NotFound for unknown columns; InvalidArgument for ambiguous bare names.
-  virtual Result<Value> GetColumn(const std::string& qualifier,
-                                  const std::string& column) const = 0;
-};
-
 /// A scalar SQL function: values in, value out.
 using ScalarFunc =
     std::function<Result<Value>(const std::vector<Value>& args)>;
@@ -47,17 +36,11 @@ class ScalarFuncRegistry {
   std::map<std::string, ScalarFunc> funcs_;
 };
 
-/// Evaluates a non-aggregate expression against a row. Nulls propagate
-/// through arithmetic and comparisons; AND/OR treat null as false
-/// (two-valued logic — documented simplification).
-/// `row` may be null for constant expressions; `funcs` may be null if the
-/// expression contains no function calls; `params` binds '?' placeholders
-/// (an unbound placeholder is an error).
-Result<Value> EvalExpr(const Expr& expr, const RowContext* row,
-                       const ScalarFuncRegistry* funcs,
-                       const std::vector<Value>* params = nullptr);
-
-/// Evaluates a binary arithmetic / comparison / logic operation.
+/// Evaluates a binary arithmetic / comparison / logic operation. Nulls
+/// propagate through arithmetic and comparisons; AND/OR treat null as false
+/// (two-valued logic — documented simplification, DESIGN.md "Differences
+/// from SQLite"). Compiled programs (compiled_expr.h) call this for every
+/// binary operator.
 Result<Value> EvalBinaryOp(BinaryOp op, const Value& lhs, const Value& rhs);
 
 }  // namespace strip

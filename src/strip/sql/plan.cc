@@ -84,17 +84,12 @@ void InputSet::FillFromTemp(JoinRow& row, int input,
   }
 }
 
-Result<Value> JoinRowContext::GetColumn(const std::string& qualifier,
-                                        const std::string& column) const {
-  auto acc = inputs_->Resolve(qualifier, column);
-  if (acc.ok()) {
-    return inputs_->Read(*row_, *acc);
+bool IsColumnFree(const Expr& expr) {
+  if (expr.kind == ExprKind::kColumnRef) return false;
+  for (const auto& a : expr.args) {
+    if (!IsColumnFree(*a)) return false;
   }
-  if (qualifier.empty() && pseudo_ != nullptr) {
-    auto it = pseudo_->find(column);
-    if (it != pseudo_->end()) return it->second;
-  }
-  return acc.status();
+  return true;
 }
 
 void SplitConjuncts(const Expr* where, std::vector<const Expr*>& out) {

@@ -81,24 +81,8 @@ class InputSet {
   int num_extras_ = 0;
 };
 
-/// RowContext over a JoinRow, with optional pseudo-columns (e.g. the
-/// rule system's `commit_time`) consulted when normal resolution fails.
-class JoinRowContext final : public RowContext {
- public:
-  JoinRowContext(const InputSet* inputs, const JoinRow* row,
-                 const std::map<std::string, Value>* pseudo = nullptr)
-      : inputs_(inputs), row_(row), pseudo_(pseudo) {}
-
-  void set_row(const JoinRow* row) { row_ = row; }
-
-  Result<Value> GetColumn(const std::string& qualifier,
-                          const std::string& column) const override;
-
- private:
-  const InputSet* inputs_;
-  const JoinRow* row_;
-  const std::map<std::string, Value>* pseudo_;
-};
+/// True when `expr` has no column references: a candidate index-probe key.
+bool IsColumnFree(const Expr& expr);
 
 /// Splits a WHERE tree into top-level AND conjuncts (borrowed pointers
 /// into the statement's expression tree).

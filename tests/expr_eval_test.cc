@@ -1,64 +1,58 @@
-// Unit tests for expression evaluation: arithmetic, null propagation,
-// comparisons, logic, scalar functions, parameters.
+// Unit tests for expression evaluation through compiled programs:
+// arithmetic, null propagation, comparisons, logic, scalar functions,
+// parameters, and the deferred (execution-time) compile errors.
 
 #include <gtest/gtest.h>
 
-#include <map>
-
-#include "strip/sql/expr_eval.h"
+#include "strip/sql/compiled_expr.h"
 #include "strip/sql/parser.h"
 #include "tests/test_util.h"
 
 namespace strip {
 namespace {
 
-/// RowContext over a fixed name -> value map.
-class MapRowContext final : public RowContext {
- public:
-  explicit MapRowContext(std::map<std::string, Value> values)
-      : values_(std::move(values)) {}
-
-  Result<Value> GetColumn(const std::string& qualifier,
-                          const std::string& column) const override {
-    std::string key = qualifier.empty() ? column : qualifier + "." + column;
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      return Status::NotFound("no column " + key);
-    }
-    return it->second;
-  }
-
- private:
-  std::map<std::string, Value> values_;
-};
-
+/// Expressions compile in single-table mode against one record of table
+/// `t` (x = 4, y = 2.5, s = 'hi', n = null, z = 9).
 class ExprEvalTest : public ::testing::Test {
  protected:
   ExprEvalTest()
       : funcs_(ScalarFuncRegistry::WithBuiltins()),
-        row_({{"x", Value::Int(4)},
-              {"y", Value::Double(2.5)},
-              {"s", Value::Str("hi")},
-              {"n", Value::Null()},
-              {"t.z", Value::Int(9)}}) {}
+        rec_(MakeRecord({Value::Int(4), Value::Double(2.5), Value::Str("hi"),
+                         Value::Null(), Value::Int(9)})) {
+    schema_.AddColumn("x", ValueType::kInt);
+    schema_.AddColumn("y", ValueType::kDouble);
+    schema_.AddColumn("s", ValueType::kString);
+    schema_.AddColumn("n", ValueType::kDouble);
+    schema_.AddColumn("z", ValueType::kInt);
+  }
+
+  Result<Value> Run(const std::string& text,
+                    const std::vector<Value>* params) {
+    auto e = Parser::ParseExpression(text);
+    EXPECT_TRUE(e.ok()) << e.status().ToString();
+    if (!e.ok()) return e.status();
+    CompiledExpr prog =
+        CompiledExpr::CompileSingleTable(**e, "t", schema_, nullptr, &funcs_);
+    EvalFrame frame;
+    frame.rec = rec_.get();
+    frame.params = params;
+    return prog.Eval(frame);
+  }
 
   Value Eval(const std::string& text,
              const std::vector<Value>* params = nullptr) {
-    auto e = Parser::ParseExpression(text);
-    EXPECT_TRUE(e.ok()) << e.status().ToString();
-    auto v = EvalExpr(**e, &row_, &funcs_, params);
+    auto v = Run(text, params);
     EXPECT_TRUE(v.ok()) << text << " -> " << v.status().ToString();
     return v.ok() ? *v : Value::Null();
   }
 
   Status EvalError(const std::string& text) {
-    auto e = Parser::ParseExpression(text);
-    EXPECT_TRUE(e.ok()) << e.status().ToString();
-    return EvalExpr(**e, &row_, &funcs_).status();
+    return Run(text, nullptr).status();
   }
 
   ScalarFuncRegistry funcs_;
-  MapRowContext row_;
+  Schema schema_;
+  RecordRef rec_;
 };
 
 TEST_F(ExprEvalTest, Arithmetic) {
@@ -142,6 +136,48 @@ TEST_F(ExprEvalTest, Parameters) {
 
 TEST_F(ExprEvalTest, AggregateOutsideSelectIsError) {
   EXPECT_EQ(EvalError("sum(x)").code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(ExprEvalTest, CompileErrorsSurfaceOnlyWhenExecuted) {
+  // Unknown columns and functions compile; their error is reported only if
+  // evaluation reaches them.
+  EXPECT_EQ(EvalError("bogus = 1").code(), StatusCode::kNotFound);
+  EXPECT_EQ(Eval("0 and bogus = 1"), Value::Int(0));
+  EXPECT_EQ(Eval("1 or nosuchfn(1)"), Value::Int(1));
+  EXPECT_EQ(EvalError("x + nosuchfn(1)").code(), StatusCode::kNotFound);
+}
+
+TEST_F(ExprEvalTest, ConstantModeRejectsColumnsLazily) {
+  auto e = Parser::ParseExpression("1 or x");
+  ASSERT_TRUE(e.ok());
+  CompiledExpr prog = CompiledExpr::CompileConstant(**e, &funcs_);
+  EvalFrame frame;
+  ASSERT_OK_AND_ASSIGN(Value v, prog.Eval(frame));
+  EXPECT_EQ(v, Value::Int(1));
+  e = Parser::ParseExpression("x + 1");
+  ASSERT_TRUE(e.ok());
+  prog = CompiledExpr::CompileConstant(**e, &funcs_);
+  EXPECT_EQ(prog.Eval(frame).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(ExprEvalTest, AggregateReadsGroupValueAndNullColumns) {
+  auto e = Parser::ParseExpression("max(x) + 1");
+  ASSERT_TRUE(e.ok());
+  CompiledExpr prog =
+      CompiledExpr::CompileSingleTable(**e, "t", schema_, nullptr, &funcs_);
+  AggregateValues aggs = {{(*e)->args[0].get(), Value::Int(41)}};
+  EvalFrame frame;
+  frame.rec = rec_.get();
+  frame.aggregates = &aggs;
+  ASSERT_OK_AND_ASSIGN(Value v, prog.Eval(frame));
+  EXPECT_EQ(v, Value::Int(42));
+  // In the empty global group every column reads NULL.
+  e = Parser::ParseExpression("x");
+  ASSERT_TRUE(e.ok());
+  prog = CompiledExpr::CompileSingleTable(**e, "t", schema_, nullptr, &funcs_);
+  frame.null_columns = true;
+  ASSERT_OK_AND_ASSIGN(v, prog.Eval(frame));
+  EXPECT_TRUE(v.is_null());
 }
 
 TEST(ScalarFuncRegistryTest, RegisterAndDuplicate) {

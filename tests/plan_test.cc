@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "strip/sql/compiled_expr.h"
 #include "strip/sql/parser.h"
 #include "strip/sql/plan.h"
 #include "strip/storage/table.h"
@@ -36,6 +37,17 @@ class PlanTest : public ::testing::Test {
     auto e = Parser::ParseExpression(text);
     EXPECT_TRUE(e.ok()) << e.status().ToString();
     return e.ok() ? e.take() : nullptr;
+  }
+
+  /// Compiles `expr` in join-row mode and runs it against `row`.
+  static Result<Value> EvalOn(const Expr& expr, const InputSet& inputs,
+                              const JoinRow& row,
+                              const std::map<std::string, Value>* pseudo) {
+    CompiledExpr prog = CompiledExpr::Compile(expr, inputs, pseudo, nullptr);
+    EvalFrame frame;
+    frame.row = &row;
+    frame.pseudo = pseudo;
+    return prog.Eval(frame);
   }
 
   Table t1_;
@@ -90,8 +102,8 @@ TEST_F(PlanTest, JoinRowReadThroughSlotsAndExtras) {
   ASSERT_OK_AND_ASSIGN(ColumnAccessor x, mixed.Resolve("tmp", "x"));
   EXPECT_EQ(mixed.Read(row, x), Value::Int(42));
 
-  JoinRowContext ctx(&mixed, &row);
-  ASSERT_OK_AND_ASSIGN(Value v, ctx.GetColumn("", "x"));
+  // A compiled program reads the same positions.
+  ASSERT_OK_AND_ASSIGN(Value v, EvalOn(*Parse("x"), mixed, row, nullptr));
   EXPECT_EQ(v, Value::Int(42));
 }
 
@@ -105,11 +117,11 @@ TEST_F(PlanTest, PseudoColumnsResolveAfterInputs) {
   row.extras.resize(0);
   row.slots[0] = MakeRecord({Value::Int(1), Value::Str("x")});
   row.slots[1] = MakeRecord({Value::Str("y"), Value::Double(2)});
-  JoinRowContext ctx(&inputs_, &row, &pseudo);
-  ASSERT_OK_AND_ASSIGN(Value v, ctx.GetColumn("", "commit_time"));
+  ASSERT_OK_AND_ASSIGN(Value v,
+                       EvalOn(*Parse("commit_time"), inputs_, row, &pseudo));
   EXPECT_EQ(v, Value::Int(123));
   // Real columns win over pseudo columns.
-  ASSERT_OK_AND_ASSIGN(v, ctx.GetColumn("", "a"));
+  ASSERT_OK_AND_ASSIGN(v, EvalOn(*Parse("a"), inputs_, row, &pseudo));
   EXPECT_EQ(v, Value::Int(1));
 }
 

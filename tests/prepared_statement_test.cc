@@ -1,7 +1,6 @@
 // Prepared statements, the plan cache, and their DDL-invalidation
-// behavior, plus the compiled-vs-interpreted equivalence sweep: the same
-// statements executed through slot-compiled programs and through the
-// tree-walking interpreter must produce identical results.
+// behavior. Query results are checked against SQLite in
+// sqlite_oracle_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +11,6 @@
 
 #include "strip/common/string_util.h"
 #include "strip/engine/database.h"
-#include "strip/market/populate.h"
-#include "strip/market/trace.h"
 #include "tests/test_util.h"
 
 namespace strip {
@@ -230,136 +227,36 @@ TEST(PreparedStatementTest, PlanNotesDescribeFastPath) {
   EXPECT_NE(notes[0].find("index probe"), std::string::npos) << notes[0];
 }
 
-// ---------------------------------------------------------------------------
-// Compiled vs. interpreted equivalence
-// ---------------------------------------------------------------------------
-
-/// Two databases populated identically (reusing the PTA generators), one
-/// with compiled expressions + fast paths, one forced fully interpreted.
-class EquivalenceSweep : public ::testing::Test {
- protected:
-  EquivalenceSweep() {
-    Database::Options compiled;
-    compiled.enable_compiled_exprs = true;
-    Database::Options interpreted;
-    interpreted.enable_compiled_exprs = false;
-    compiled_ = std::make_unique<Database>(compiled);
-    interpreted_ = std::make_unique<Database>(interpreted);
+TEST(PreparedStatementTest, PreparedActionDmlCountsRowsScanned) {
+  // A rule action's prepared full-scan UPDATE charges every row it visits
+  // to the task and to rules.cost.rows_scanned.<fn>, exactly as the same
+  // statement run unprepared does.
+  constexpr int kRows = 40;
+  Database db;
+  ASSERT_OK(db.ExecuteScript(
+      "create table t (k int, v int); create table trig (x int);"));
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_OK(db.Execute(StrFormat("insert into t values (%d, 0)", i))
+                  .status());
   }
+  ASSERT_OK_AND_ASSIGN(PreparedStatementPtr bump,
+                       db.Prepare("update t set v = v + 1"));
+  uint64_t scanned = 0;
+  int updated = 0;
+  ASSERT_OK(db.RegisterFunction("bump", [&](FunctionContext& ctx) -> Status {
+    STRIP_ASSIGN_OR_RETURN(updated, ctx.Exec(*bump));
+    scanned = ctx.task().rows_scanned;
+    return Status::OK();
+  }));
+  ASSERT_OK(db.Execute("create rule r on trig when inserted then execute bump")
+                .status());
+  ASSERT_OK(db.Execute("insert into trig values (1)").status());
+  db.simulated()->RunUntilQuiescent();
 
-  void Populate() {
-    TraceOptions t;
-    t.num_stocks = 40;
-    t.duration_seconds = 5;
-    t.target_updates = 120;
-    t.seed = 1234;
-    trace_ = MarketTrace::Generate(t);
-    PtaConfig cfg;
-    cfg.num_composites = 6;
-    cfg.stocks_per_composite = 10;
-    cfg.num_options = 60;
-    cfg.seed = 5678;
-    ASSERT_OK(PopulatePtaTables(*compiled_, trace_, cfg));
-    ASSERT_OK(PopulatePtaTables(*interpreted_, trace_, cfg));
-  }
-
-  /// Runs `sql` on both engines; both must agree on status and, when OK,
-  /// on every row (order included — queries in the sweep are ordered).
-  void ExpectSameResult(const std::string& sql) {
-    auto a = compiled_->Execute(sql);
-    auto b = interpreted_->Execute(sql);
-    ASSERT_EQ(a.ok(), b.ok())
-        << sql << "\ncompiled: " << a.status().ToString()
-        << "\ninterpreted: " << b.status().ToString();
-    if (!a.ok()) {
-      EXPECT_EQ(a.status().code(), b.status().code()) << sql;
-      return;
-    }
-    ASSERT_EQ(a->num_rows(), b->num_rows()) << sql;
-    for (size_t r = 0; r < a->num_rows(); ++r) {
-      ASSERT_EQ(a->rows[r].size(), b->rows[r].size()) << sql;
-      for (size_t c = 0; c < a->rows[r].size(); ++c) {
-        EXPECT_EQ(a->rows[r][c].ToString(), b->rows[r][c].ToString())
-            << sql << " row " << r << " col " << c;
-      }
-    }
-  }
-
-  MarketTrace trace_;
-  std::unique_ptr<Database> compiled_;
-  std::unique_ptr<Database> interpreted_;
-};
-
-TEST_F(EquivalenceSweep, QueriesAndDmlAgree) {
-  Populate();
-
-  // Apply the trace's updates through the prepared path on the compiled
-  // engine and through the same handle API on the interpreted one (where
-  // every execution falls back to the interpreter).
-  ASSERT_OK_AND_ASSIGN(
-      PreparedStatementPtr upd_c,
-      compiled_->Prepare("update stocks set price = ? where symbol = ?"));
-  ASSERT_OK_AND_ASSIGN(
-      PreparedStatementPtr upd_i,
-      interpreted_->Prepare("update stocks set price = ? where symbol = ?"));
-  for (const Quote& q : trace_.quotes()) {
-    std::vector<Value> params = {Value::Double(q.price),
-                                 Value::Str(StockSymbol(q.stock))};
-    ASSERT_OK_AND_ASSIGN(ResultSet rc, upd_c->Execute(params));
-    ASSERT_OK_AND_ASSIGN(ResultSet ri, upd_i->Execute(params));
-    EXPECT_EQ(rc.rows[0][0].as_int(), ri.rows[0][0].as_int());
-  }
-
-  const char* queries[] = {
-      "select symbol, price from stocks order by symbol",
-      "select comp, price from comp_prices order by comp",
-      // Join + aggregate + scalar arithmetic (the Figure-5 recompute).
-      "select comp, sum(stocks.price * weight) as price "
-      "from stocks, comps_list where stocks.symbol = comps_list.symbol "
-      "group by comp order by comp",
-      // Scalar function (f_bs) over a three-way join.
-      "select option_symbol, "
-      "f_bs(stocks.price, strike, expiration, stdev) as price "
-      "from stocks, stock_stdev, options_list "
-      "where stocks.symbol = options_list.stock_symbol "
-      "and stocks.symbol = stock_stdev.symbol "
-      "order by option_symbol limit 50",
-      // Short-circuit evaluation: the second conjunct would divide by a
-      // column value of zero only when reached.
-      "select symbol from stocks where price > 1e12 and 1.0 / price > 0 "
-      "order by symbol",
-      // Unary minus, boolean ops, DISTINCT, HAVING.
-      "select distinct comp from comps_list "
-      "where not (weight < 0) or -weight > 0 order by comp",
-      "select comp, count(*) as n from comps_list group by comp "
-      "having count(*) > 2 order by comp",
-      // Parameter-free arithmetic edge: integer vs double division.
-      "select symbol, price / 4 from stocks order by symbol limit 10",
-  };
-  for (const char* q : queries) ExpectSameResult(q);
-
-  // Error equivalence: division by zero surfaces identically.
-  ExpectSameResult("select 1 / 0 from stocks");
-  // Unknown column behind a never-true branch stays a lazy error in both.
-  ExpectSameResult("select symbol from stocks where price > 1e12");
-}
-
-TEST_F(EquivalenceSweep, PreparedSelectMatchesInterpreted) {
-  Populate();
-  ASSERT_OK_AND_ASSIGN(
-      PreparedStatementPtr sel_c,
-      compiled_->Prepare(
-          "select comp, weight from comps_list where symbol = ?"));
-  ASSERT_OK_AND_ASSIGN(
-      PreparedStatementPtr sel_i,
-      interpreted_->Prepare(
-          "select comp, weight from comps_list where symbol = ?"));
-  for (int i = 0; i < 40; ++i) {
-    std::vector<Value> params = {Value::Str(StockSymbol(i))};
-    ASSERT_OK_AND_ASSIGN(ResultSet a, sel_c->Execute(params));
-    ASSERT_OK_AND_ASSIGN(ResultSet b, sel_i->Execute(params));
-    ASSERT_EQ(a.num_rows(), b.num_rows()) << StockSymbol(i);
-  }
+  EXPECT_EQ(updated, kRows);
+  EXPECT_EQ(scanned, static_cast<uint64_t>(kRows));
+  EXPECT_EQ(db.metrics().CounterValues()["rules.cost.rows_scanned.bump"],
+            static_cast<uint64_t>(kRows));
 }
 
 }  // namespace

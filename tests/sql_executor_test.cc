@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "strip/engine/database.h"
+#include "strip/sql/parser.h"
 #include "tests/test_util.h"
 
 namespace strip {
@@ -259,6 +260,75 @@ TEST_F(SqlExecutorTest, DuplicateRowsPreserved) {
     insert into t values (1), (1), (1);
   )"));
   EXPECT_EQ(MustQuery("select v from t").num_rows(), 3u);
+}
+
+// Errors with a fixed expected status. Each runs through the plan cache
+// (Execute(sql)) and through per-call planning (Execute(Statement)).
+
+/// The statuses of `sql` through both entry points (they must agree).
+StatusCode RunBoth(Database& db, const std::string& sql, int* rows = nullptr) {
+  auto cached = db.Execute(sql);
+  auto stmt = Parser::ParseStatement(sql);
+  EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto planned = db.Execute(*stmt);
+  EXPECT_EQ(cached.status().code(), planned.status().code()) << sql;
+  if (rows != nullptr && cached.ok()) {
+    *rows = static_cast<int>(cached->rows[0][0].as_int());
+  }
+  return cached.status().code();
+}
+
+TEST(SqlErrorsTest, DivisionByZeroIsInvalidArgument) {
+  Database db;
+  ASSERT_OK(db.ExecuteScript("create table t (k string, v int)"));
+  // Errors are raised per evaluated row: an empty table raises none.
+  EXPECT_EQ(RunBoth(db, "select 1 / 0 from t"), StatusCode::kOk);
+  ASSERT_OK(db.Execute("insert into t values ('a', 0)").status());
+  EXPECT_EQ(RunBoth(db, "select 1 / 0 from t"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunBoth(db, "select 2.5 / v from t"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunBoth(db, "update t set v = 1 / v"),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SqlErrorsTest, UnknownColumnInDmlIsALazyError) {
+  Database db;
+  ASSERT_OK(db.ExecuteScript("create table t (k string, v int)"));
+  int rows = -1;
+  EXPECT_EQ(RunBoth(db, "update t set v = 1 where bogus = 1", &rows),
+            StatusCode::kOk);
+  EXPECT_EQ(rows, 0);
+  EXPECT_EQ(RunBoth(db, "delete from t where bogus = 1", &rows),
+            StatusCode::kOk);
+  EXPECT_EQ(rows, 0);
+  ASSERT_OK(db.Execute("insert into t values ('a', 1)").status());
+  EXPECT_EQ(RunBoth(db, "update t set v = 1 where bogus = 1"),
+            StatusCode::kNotFound);
+  EXPECT_EQ(RunBoth(db, "delete from t where bogus = 1"),
+            StatusCode::kNotFound);
+  // Behind a short-circuited operand the bad reference never runs.
+  EXPECT_EQ(RunBoth(db, "update t set v = 2 where v = 0 and bogus = 1", &rows),
+            StatusCode::kOk);
+  EXPECT_EQ(rows, 0);
+  // A SELECT resolves its columns when it binds, so it fails even here.
+  EXPECT_EQ(RunBoth(db, "select k from t where v = 0 and bogus = 1"),
+            StatusCode::kNotFound);
+}
+
+TEST(SqlErrorsTest, EmptyGlobalGroupReadsNullColumns) {
+  Database db;
+  ASSERT_OK(db.ExecuteScript(
+      "create table t (k string, v int); insert into t values ('a', 1);"));
+  ASSERT_OK_AND_ASSIGN(ResultSet rs,
+                       db.Execute("select max(v), k from t where v > 100"));
+  ASSERT_EQ(rs.num_rows(), 1u);
+  EXPECT_TRUE(rs.rows[0][0].is_null());
+  EXPECT_TRUE(rs.rows[0][1].is_null());
+  ASSERT_OK_AND_ASSIGN(
+      rs, db.Execute("select count(*), v + 1 from t where v > 100"));
+  ASSERT_EQ(rs.num_rows(), 1u);
+  EXPECT_EQ(rs.rows[0][0], Value::Int(0));
+  EXPECT_TRUE(rs.rows[0][1].is_null());
 }
 
 }  // namespace
