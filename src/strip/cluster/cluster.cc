@@ -92,15 +92,10 @@ Status Cluster::ConnectTwoTier(const std::string& view_name,
     return Status::AlreadyExists(
         StrFormat("view '%s' is already two-tier", view_name.c_str()));
   }
-  // Tier-2 ships SUM/_count deltas, so tier-1 must track the hidden count.
-  RuleGenOptions tier1 = options.tier1;
-  tier1.handle_insert_delete = true;
-  tier1.track_group_count = true;
-
   // 1. Tier-1 rules on every shard maintain its partial view.
   for (auto& shard : shards_) {
     STRIP_RETURN_IF_ERROR(
-        GenerateMaintenanceRule(*shard, view_name, fact_table, tier1)
+        GenerateMaintenanceRule(*shard, view_name, fact_table, options.tier1)
             .status());
   }
 
@@ -115,8 +110,7 @@ Status Cluster::ConnectTwoTier(const std::string& view_name,
     ddl += schema.column(c).name + " " +
            ValueTypeName(schema.column(c).type);
   }
-  ddl += "); create index on " + view_name + " (" + schema.column(0).name +
-         ");";
+  ddl += ")";
   STRIP_RETURN_IF_ERROR(merge_->ExecuteScript(ddl));
 
   // Seed it from the shards' current partial contents. The same group can

@@ -14,7 +14,7 @@ Database::Database() : Database(Options{}) {}
 
 Database::Database(Options options)
     : options_(options),
-      trace_ring_(options_.enable_metrics ? options_.trace_capacity : 0),
+      trace_ring_(options_.enable_metrics ? kTraceCapacity : 0),
       scalar_funcs_(ScalarFuncRegistry::WithBuiltins()) {
   if (options_.mode == ExecutorMode::kSimulated) {
     sim_ = std::make_unique<SimulatedExecutor>(
@@ -104,10 +104,6 @@ void Database::RegisterBuiltinMetrics() {
                             [&ls, load] { return load(ls.wait_die_aborts); });
   metrics_.RegisterCallback("locks.wait_micros",
                             [&ls, load] { return load(ls.wait_micros); });
-  UniqueTxnManager& um = rules_->unique_manager();
-  metrics_.RegisterCallback("unique.merges", [&um] {
-    return static_cast<double>(um.merge_count());
-  });
   metrics_.RegisterCallback("db.plan_cache.entries", [this] {
     std::lock_guard<std::mutex> lk(plan_mu_);
     return static_cast<double>(plan_cache_.size());

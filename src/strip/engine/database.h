@@ -68,9 +68,6 @@ class Database {
     /// (always on) are single relaxed atomic increments; disabling this
     /// removes the rest for overhead A/B measurements.
     bool enable_metrics = true;
-    /// Lifecycle events retained by the trace ring (~5 events per task, so
-    /// the default keeps the last ~1600 transactions). 0 disables tracing.
-    size_t trace_capacity = 8192;
   };
 
   Database();
@@ -255,6 +252,10 @@ class Database {
   /// staleness histogram + batching-factor histogram (the paper's §7
   /// metric). Called after a rule-action transaction commits.
   void RecordActionCommit(TaskControlBlock& task);
+
+  /// Lifecycle events retained by the trace ring (~5 events per task, so
+  /// the last ~1600 transactions).
+  static constexpr size_t kTraceCapacity = 8192;
 
   Options options_;
   MetricsRegistry metrics_;

@@ -272,8 +272,6 @@ Result<std::vector<MergedGroup>> RunSingleEnginePta(
   STRIP_RETURN_IF_ERROR(SetUpSchema(db, options));
   RuleGenOptions gen;
   gen.delay_seconds = options.tier1_delay_seconds;
-  gen.handle_insert_delete = true;
-  gen.track_group_count = true;
   STRIP_RETURN_IF_ERROR(
       GenerateMaintenanceRule(db, "comp_prices", "stocks", gen).status());
 

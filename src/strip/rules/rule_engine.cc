@@ -172,13 +172,15 @@ Status RuleEngine::FireRule(const RuleDef& rule, Transaction* txn,
             }));
     if (created != nullptr) {
       out.push_back(std::move(created));
-    } else if (deps_.trace != nullptr) {
+      continue;
+    }
+    stats_.firings_merged.fetch_add(1, std::memory_order_relaxed);
+    if (deps_.trace != nullptr) {
       deps_.trace->Record(TraceEventKind::kMerge, txn->id(), commit_time,
                           rule.function_name().c_str(),
                           txn->trace().trace_id);
     }
   }
-  stats_.firings_merged.store(unique_.merge_count(), std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -193,7 +193,6 @@ Result<TaskPtr> UniqueTxnManager::MergeOrCreate(
       if (parent_trace_id != 0) {
         queued->merged_parent_traces.push_back(parent_trace_id);
       }
-      merge_count_.fetch_add(1, std::memory_order_relaxed);
       return TaskPtr(nullptr);  // merged; nothing to submit
     }
     // The queued task began running: its bound tables are fixed (§2).

@@ -2,7 +2,6 @@
 #define STRIP_RULES_UNIQUE_MANAGER_H_
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -92,9 +91,6 @@ class UniqueTxnManager {
   /// concurrent merges / starts) for a fully consistent view.
   std::vector<std::pair<std::string, TaskPtr>> SnapshotQueued() const;
 
-  /// Total bound-table merges performed (batched firings).
-  uint64_t merge_count() const { return merge_count_; }
-
  private:
   static constexpr size_t kNumStripes = 16;
 
@@ -119,7 +115,6 @@ class UniqueTxnManager {
   const FuncTable* Find(const std::string& function_name) const;
 
   std::array<Stripe, kNumStripes> stripes_;
-  std::atomic<uint64_t> merge_count_{0};
 };
 
 }  // namespace strip

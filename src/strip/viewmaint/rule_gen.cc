@@ -330,27 +330,86 @@ AggStrategy ChooseStrategy(const ViewDef& view, const ViewShape& shape,
 }
 
 // ---------------------------------------------------------------------------
-// Aggregation maintenance plan + action functions
+// Fold-and-apply: the one routine behind every generated aggregate action
 // ---------------------------------------------------------------------------
 
-/// Shared state of the (up to three) action functions maintaining one
-/// aggregation view. All statements are prepared once at generation time;
+/// Turns one firing's bound rows into per-row group delta contributions.
+/// `change_time` is the task's oldest batched change (merges min-fold it).
+using DeltaDecoder = std::function<Result<std::vector<GroupDelta>>(
+    const TempTable& rows, Timestamp change_time)>;
+/// Consumes one non-zero net group delta.
+using DeltaStep = std::function<Status(FunctionContext&, const GroupDelta&)>;
+/// Runs once per firing after the last step; may be empty.
+using AfterSteps =
+    std::function<Status(FunctionContext&, const TempTable& rows)>;
+
+bool IsZeroDelta(const GroupDelta& d) {
+  if (d.count != 0) return false;
+  for (double s : d.sums) {
+    if (s != 0.0) return false;
+  }
+  return true;
+}
+
+/// The action of every generated aggregate rule. Tier-1 maintenance, shard
+/// export and merge differ only in `decode`, `step` and `after`. The bound
+/// rows' contributions fold to one net delta per key (rules/net_effect), so
+/// a batched unique transaction handles a whole delay window in
+/// O(|delta|); the contributions netted away are credited to the rule's
+/// rules.cost.deltas_folded counter at task finish.
+UserFunction MakeFoldAndApply(std::string bound_name, DeltaDecoder decode,
+                              DeltaStep step, AfterSteps after) {
+  return [bound_name = std::move(bound_name), decode = std::move(decode),
+          step = std::move(step),
+          after = std::move(after)](FunctionContext& ctx) -> Status {
+    const TempTable* rows = ctx.BoundTable(bound_name);
+    if (rows == nullptr) {
+      return Status::NotFound(
+          StrFormat("bound table '%s' missing", bound_name.c_str()));
+    }
+    TaskControlBlock& tcb = ctx.task();
+    STRIP_ASSIGN_OR_RETURN(std::vector<GroupDelta> contrib,
+                           decode(*rows, tcb.oldest_change_time));
+    const size_t contributions = contrib.size();
+    std::vector<GroupDelta> folded = FoldGroupDeltas(std::move(contrib));
+    tcb.deltas_folded += contributions - folded.size();
+    // Staleness probe correctness under netting: the commit must be judged
+    // against the oldest folded update, never a fresher survivor.
+    for (const GroupDelta& d : folded) {
+      if (d.change_time >= 0 && (tcb.oldest_change_time < 0 ||
+                                 d.change_time < tcb.oldest_change_time)) {
+        tcb.oldest_change_time = d.change_time;
+      }
+    }
+    for (const GroupDelta& d : folded) {
+      if (IsZeroDelta(d)) continue;  // e.g. an update that kept key and values
+      STRIP_RETURN_IF_ERROR(step(ctx, d));
+    }
+    return after ? after(ctx, *rows) : Status::OK();
+  };
+}
+
+// ---------------------------------------------------------------------------
+// Applying group deltas to an aggregation table
+// ---------------------------------------------------------------------------
+
+/// Shared state of the action functions applying group deltas to one
+/// aggregation table: the tier-1 rules of a view, or the merge rule of a
+/// two-tier view. All statements are prepared once at generation time;
 /// firings execute frozen plans with parameter bindings only.
 struct AggPlan {
   std::vector<bool> item_is_count;  // per view aggregate, select order
   std::vector<bool> item_is_avg;    // parallel to item_is_count
-  bool has_avg = false;
   PreparedStatementPtr update;      // UPDATE view SET a += ?,... WHERE g = ?
   PreparedStatementPtr upsert;      // INSERT for groups absent from the view
   PreparedStatementPtr count_check;  // SELECT _count FROM view WHERE g = ?
-  PreparedStatementPtr erase;    // DELETE ... WHERE g = ? AND _count <= 0
-  PreparedStatementPtr probe;    // dim probe by join key (kDimProbe only)
+  PreparedStatementPtr erase;        // EraseText
+  PreparedStatementPtr probe;  // dim probe by join key (kDimProbe only)
   /// AVG views: SELECT _count, <avg columns> FROM view WHERE g = ? — the
   /// running state the quotient update is computed from.
   PreparedStatementPtr avg_read;
-  bool track_count = false;
-  /// Every function maintaining this view; the erase sweep runs only when
-  /// none of them has queued work.
+  /// Every function applying deltas to this table; the erase sweep runs
+  /// only when none of them has queued work.
   std::vector<std::string> sibling_functions;
 
   /// Groups whose APPLIED count reached zero. Erasing eagerly would be
@@ -358,28 +417,25 @@ struct AggPlan {
   /// a group at applied-count zero may still have a queued insert delta
   /// about to resurrect it — and erasing would also destroy sum deltas
   /// already applied by other tasks. The sweep below defers the DELETE to
-  /// a firing at which no maintenance task is queued; at that point
-  /// applied count == true count and the erase is exact.
+  /// a firing at which no sibling task is queued.
   std::mutex mu;
   std::unordered_set<Value, ValueHash> zero_set;
   std::vector<Value> zero_groups;  // first-seen order (determinism)
 };
 
-Status ApplyGroup(FunctionContext& ctx, AggPlan& plan, const Value& group,
-                  const std::vector<double>& sums, int64_t cnt) {
-  bool all_zero = cnt == 0;
-  for (size_t i = 0; all_zero && i < sums.size(); ++i) {
-    all_zero = sums[i] == 0.0;
-  }
-  if (all_zero) return Status::OK();
+/// Applies one net group delta: UPDATE the group's row, INSERT it when
+/// absent, and note the group as an erase candidate when its count may
+/// have reached zero.
+Status ApplyGroup(FunctionContext& ctx, AggPlan& plan, const GroupDelta& d) {
+  if (IsZeroDelta(d)) return Status::OK();  // a probe weight of zero
   // AVG columns store the quotient, not a delta, so the update needs the
   // group's current (count, avg) state: new avg = (avg * count +
   // delta_sum) / (count + delta_count). The read shares the action
   // transaction's locks, so the state cannot move under the update.
   int64_t cur_count = 0;
   std::vector<double> cur_avgs;  // per AVG item, select order
-  if (plan.has_avg) {
-    STRIP_ASSIGN_OR_RETURN(TempTable cur, ctx.Query(*plan.avg_read, {group}));
+  if (plan.avg_read != nullptr) {
+    STRIP_ASSIGN_OR_RETURN(TempTable cur, ctx.Query(*plan.avg_read, {d.key}));
     if (cur.size() == 1) {
       cur_count = cur.Get(0, 0).as_int();
       for (int c = 1; c < cur.schema().num_columns(); ++c) {
@@ -395,16 +451,16 @@ Status ApplyGroup(FunctionContext& ctx, AggPlan& plan, const Value& group,
   size_t a = 0;
   for (size_t i = 0; i < plan.item_is_count.size(); ++i) {
     if (plan.item_is_count[i]) {
-      upd_params.push_back(Value::Int(cnt));
+      upd_params.push_back(Value::Int(d.count));
       continue;
     }
-    double delta = sums[s++];
+    double delta = d.sums[s++];
     if (plan.item_is_avg[i]) {
       // A missing row reads as (count 0, avg 0): the quotient below is
       // then delta/cnt, which is exactly the value the upsert must seed.
       double cur_avg = a < cur_avgs.size() ? cur_avgs[a] : 0.0;
       ++a;
-      int64_t new_count = cur_count + cnt;
+      int64_t new_count = cur_count + d.count;
       double quotient = new_count > 0
           ? (cur_avg * static_cast<double>(cur_count) + delta) /
                 static_cast<double>(new_count)
@@ -414,20 +470,15 @@ Status ApplyGroup(FunctionContext& ctx, AggPlan& plan, const Value& group,
       upd_params.push_back(Value::Double(delta));
     }
   }
-  if (plan.track_count) upd_params.push_back(Value::Int(cnt));
-  upd_params.push_back(group);
+  upd_params.push_back(Value::Int(d.count));
+  upd_params.push_back(d.key);
   STRIP_ASSIGN_OR_RETURN(int n, ctx.Exec(*plan.update, upd_params));
   bool upserted = false;
   if (n == 0) {
-    if (plan.upsert == nullptr) {
-      return Status::Internal(StrFormat(
-          "maintenance update for key '%s' matched no view row",
-          group.ToString().c_str()));
-    }
     // INSERT text lists the group column first.
     std::vector<Value> ins_params;
     ins_params.reserve(upd_params.size());
-    ins_params.push_back(group);
+    ins_params.push_back(d.key);
     ins_params.insert(ins_params.end(), upd_params.begin(),
                       upd_params.end() - 1);
     STRIP_ASSIGN_OR_RETURN(n, ctx.Exec(*plan.upsert, ins_params));
@@ -436,24 +487,30 @@ Status ApplyGroup(FunctionContext& ctx, AggPlan& plan, const Value& group,
   if (n != 1) {
     return Status::Internal(StrFormat(
         "maintenance update for key '%s' touched %d rows",
-        group.ToString().c_str(), n));
+        d.key.ToString().c_str(), n));
   }
-  if (plan.track_count && (cnt < 0 || (upserted && cnt <= 0))) {
-    STRIP_ASSIGN_OR_RETURN(TempTable r, ctx.Query(*plan.count_check, {group}));
+  // A delta that created the row or moved its count can leave the group at
+  // or below zero: a genuine delete wave, but also an out-of-order
+  // interim — unique batching reorders deltas across sibling tasks, and
+  // the shards' export windows interleave freely at the merge, so an
+  // update delta can land before the insert delta that logically precedes
+  // it. Both get flagged; the sweep's erase predicate tells them apart.
+  if (upserted || d.count != 0) {
+    STRIP_ASSIGN_OR_RETURN(TempTable r, ctx.Query(*plan.count_check, {d.key}));
     if (r.size() == 1 && r.Get(0, 0).as_int() <= 0) {
       std::lock_guard<std::mutex> lock(plan.mu);
-      if (plan.zero_set.insert(group).second) {
-        plan.zero_groups.push_back(group);
+      if (plan.zero_set.insert(d.key).second) {
+        plan.zero_groups.push_back(d.key);
       }
     }
   }
   return Status::OK();
 }
 
-/// Deletes rows of emptied groups, but only when no sibling maintenance
-/// task is queued (see AggPlan::zero_groups). The DELETE re-checks
-/// `_count <= 0`, so a candidate resurrected between noting and sweeping
-/// is left alone. Threaded executors can in principle start a new sibling
+/// Deletes rows of emptied groups, but only when no sibling task is queued
+/// (see AggPlan::zero_groups). The DELETE re-checks its predicate
+/// (EraseText), so a candidate resurrected between noting and sweeping is
+/// left alone. Threaded executors can in principle start a new sibling
 /// between the idle check and the DELETE; the predicate bounds the damage
 /// to groups that are empty at that instant anyway.
 Status SweepIfIdle(FunctionContext& ctx, AggPlan& plan) {
@@ -478,30 +535,41 @@ Status SweepIfIdle(FunctionContext& ctx, AggPlan& plan) {
   return Status::OK();
 }
 
-/// The action function for an aggregation view. `positive` rows contribute
-/// (+values, +1) keyed by `_key`; `negative` rows contribute (-values, -1)
-/// keyed by `_old_key` (update layout) or `_key` (delete layout). The
-/// contributions are folded to one net delta per key — a batched unique
-/// transaction applies a whole delay window in O(|delta|) — then applied
-/// directly (group key == delta key) or fanned out through the dimension
-/// probe.
-UserFunction MakeAggregateMaintainer(std::shared_ptr<AggPlan> plan,
-                                     std::string bound_name, bool positive,
-                                     bool negative) {
-  return [plan, bound_name, positive,
-          negative](FunctionContext& ctx) -> Status {
-    const TempTable* deltas = ctx.BoundTable(bound_name);
-    if (deltas == nullptr) {
-      return Status::NotFound(
-          StrFormat("bound table '%s' missing", bound_name.c_str()));
+/// Apply step shared by tier-1 and merge: the net delta goes to its group
+/// directly (group key == delta key), or fans out through the dimension
+/// probe, each SUM scaled by the probed row's dimension part.
+DeltaStep ApplyStep(std::shared_ptr<AggPlan> plan) {
+  return [plan](FunctionContext& ctx, const GroupDelta& d) -> Status {
+    if (plan->probe == nullptr) return ApplyGroup(ctx, *plan, d);
+    STRIP_ASSIGN_OR_RETURN(TempTable rows, ctx.Query(*plan->probe, {d.key}));
+    for (size_t r = 0; r < rows.size(); ++r) {
+      GroupDelta scaled;
+      scaled.key = rows.Get(r, 0);
+      scaled.count = d.count;
+      scaled.sums.reserve(d.sums.size());
+      for (size_t s = 0; s < d.sums.size(); ++s) {
+        scaled.sums.push_back(
+            d.sums[s] * rows.Get(r, static_cast<int>(1 + s)).as_double());
+      }
+      STRIP_RETURN_IF_ERROR(ApplyGroup(ctx, *plan, scaled));
     }
-    const Schema& ds = deltas->schema();
+    return Status::OK();
+  };
+}
+
+/// Tier-1 contributions from the fact table's transition rows: `positive`
+/// rows contribute (+values, +1) keyed by `_key`; `negative` rows
+/// contribute (-values, -1) keyed by `_old_key` (update layout) or `_key`
+/// (delete layout). Every bound row is at least as old as the task's
+/// oldest batched change, so that time is stamped on each contribution and
+/// the fold carries it through netting.
+DeltaDecoder FactDeltaDecoder(size_t num_sums, bool positive, bool negative) {
+  return [num_sums, positive, negative](
+             const TempTable& deltas,
+             Timestamp change_time) -> Result<std::vector<GroupDelta>> {
+    const Schema& ds = deltas.schema();
     int key_col = ds.FindColumn("_key");
     int old_key_col = ds.FindColumn("_old_key");
-    size_t num_sums = 0;
-    for (bool is_count : plan->item_is_count) {
-      if (!is_count) ++num_sums;
-    }
     std::vector<int> new_cols, old_cols;
     for (size_t i = 0; i < num_sums; ++i) {
       if (positive) new_cols.push_back(ds.FindColumn(StrFormat("_new%zu", i)));
@@ -513,81 +581,35 @@ UserFunction MakeAggregateMaintainer(std::shared_ptr<AggPlan> plan,
     if (missing) {
       return Status::Internal("generated bound table misses columns");
     }
-
-    // Every bound row is at least as old as the task's oldest batched
-    // change (merges min-fold it); stamping that time onto each
-    // contribution lets the fold carry it through netting.
-    TaskControlBlock& tcb = ctx.task();
-    const Timestamp change_time = tcb.oldest_change_time;
     std::vector<GroupDelta> contrib;
-    contrib.reserve(deltas->size() * ((positive ? 1 : 0) + (negative ? 1 : 0)));
-    for (size_t i = 0; i < deltas->size(); ++i) {
+    contrib.reserve(deltas.size() * ((positive ? 1 : 0) + (negative ? 1 : 0)));
+    for (size_t i = 0; i < deltas.size(); ++i) {
       if (positive) {
         GroupDelta d;
-        d.key = deltas->Get(i, key_col);
+        d.key = deltas.Get(i, key_col);
         d.count = 1;
         d.change_time = change_time;
         d.sums.reserve(num_sums);
-        for (int c : new_cols) d.sums.push_back(deltas->Get(i, c).as_double());
+        for (int c : new_cols) d.sums.push_back(deltas.Get(i, c).as_double());
         contrib.push_back(std::move(d));
       }
       if (negative) {
         GroupDelta d;
-        d.key = deltas->Get(i, old_key_col >= 0 ? old_key_col : key_col);
+        d.key = deltas.Get(i, old_key_col >= 0 ? old_key_col : key_col);
         d.count = -1;
         d.change_time = change_time;
         d.sums.reserve(num_sums);
-        for (int c : old_cols) d.sums.push_back(-deltas->Get(i, c).as_double());
+        for (int c : old_cols) d.sums.push_back(-deltas.Get(i, c).as_double());
         contrib.push_back(std::move(d));
       }
     }
-    const size_t contributions = contrib.size();
-    std::vector<GroupDelta> folded = FoldGroupDeltas(std::move(contrib));
-    // Cost attribution: contributions netted away by the fold, credited to
-    // this rule's rules.cost.deltas_folded counter at task finish.
-    tcb.deltas_folded += contributions - folded.size();
-    // Staleness probe correctness under netting: the commit must be judged
-    // against the oldest folded update, never a fresher survivor.
-    for (const GroupDelta& fd : folded) {
-      if (fd.change_time >= 0 && (tcb.oldest_change_time < 0 ||
-                                  fd.change_time < tcb.oldest_change_time)) {
-        tcb.oldest_change_time = fd.change_time;
-      }
-    }
-
-    for (const GroupDelta& fd : folded) {
-      bool all_zero = fd.count == 0;
-      for (size_t i = 0; all_zero && i < fd.sums.size(); ++i) {
-        all_zero = fd.sums[i] == 0.0;
-      }
-      if (all_zero) continue;  // e.g. an update that kept key and values
-      if (plan->probe != nullptr) {
-        STRIP_ASSIGN_OR_RETURN(TempTable rows,
-                               ctx.Query(*plan->probe, {fd.key}));
-        for (size_t r = 0; r < rows.size(); ++r) {
-          const Value& group = rows.Get(r, 0);
-          std::vector<double> scaled;
-          scaled.reserve(num_sums);
-          for (size_t s = 0; s < num_sums; ++s) {
-            scaled.push_back(fd.sums[s] *
-                             rows.Get(r, static_cast<int>(1 + s)).as_double());
-          }
-          STRIP_RETURN_IF_ERROR(ApplyGroup(ctx, *plan, group, scaled,
-                                           fd.count));
-        }
-      } else {
-        STRIP_RETURN_IF_ERROR(ApplyGroup(ctx, *plan, fd.key, fd.sums,
-                                         fd.count));
-      }
-    }
-    if (plan->track_count) return SweepIfIdle(ctx, *plan);
-    return Status::OK();
+    return contrib;
   };
 }
 
 /// The action function for a projection view: recompute each affected key
 /// once from its LAST bound row (rows arrive in commit order).
-UserFunction MakeProjectionMaintainer(std::shared_ptr<const Statement> update,
+UserFunction MakeProjectionMaintainer(PreparedStatementPtr update,
                                       std::string bound_name,
                                       int num_values) {
   return [update, bound_name, num_values](FunctionContext& ctx) -> Status {
@@ -607,6 +629,7 @@ UserFunction MakeProjectionMaintainer(std::shared_ptr<const Statement> update,
     for (const auto& [key, i] : last_row) {
       (void)key;
       std::vector<Value> params;
+      params.reserve(static_cast<size_t>(num_values) + 1);
       for (int v = 0; v < num_values; ++v) {
         // Value columns follow the key in the generated select list.
         params.push_back(recalc->Get(i, key_col + 1 + v));
@@ -625,20 +648,17 @@ UserFunction MakeProjectionMaintainer(std::shared_ptr<const Statement> update,
 // Statement text generation
 // ---------------------------------------------------------------------------
 
-/// `update <view> set a += ?, b += ?[, _count += ?] where g = ?`.
+/// `update <view> set a += ?, b += ?, _count += ? where g = ?`.
 /// Parameters are positional '?' (the parser numbers them left to right),
 /// so the texts below keep the order: item deltas, count delta, group key.
-std::string UpdateText(const std::string& view, const ViewShape& shape,
-                       bool track_count) {
+std::string UpdateText(const std::string& view, const ViewShape& shape) {
   std::string sql = "update " + view + " set ";
-  for (size_t i = 0; i < shape.aggs.size(); ++i) {
-    if (i > 0) sql += ", ";
+  for (const AggItem& item : shape.aggs) {
     // SUM/COUNT columns take a delta; AVG columns take the recomputed
     // quotient as an absolute value (see ApplyGroup).
-    sql += shape.aggs[i].output + (shape.aggs[i].is_avg ? " = ?" : " += ?");
+    sql += item.output + (item.is_avg ? " = ?, " : " += ?, ");
   }
-  if (track_count) sql += ", _count += ?";
-  sql += " where " + shape.group_output + " = ?";
+  sql += "_count += ? where " + shape.group_output + " = ?";
   return sql;
 }
 
@@ -652,20 +672,33 @@ std::string AvgReadText(const std::string& view, const ViewShape& shape) {
   return sql;
 }
 
-/// `insert into <view> (g, a, b[, _count]) values (?, ?, ?[, ?])`.
-std::string UpsertText(const std::string& view, const ViewShape& shape,
-                       bool track_count) {
+/// `insert into <view> (g, a, b, _count) values (?, ?, ?, ?)`.
+std::string UpsertText(const std::string& view, const ViewShape& shape) {
   std::string cols = shape.group_output;
   std::string vals = "?";
   for (const AggItem& item : shape.aggs) {
     cols += ", " + item.output;
     vals += ", ?";
   }
-  if (track_count) {
-    cols += ", _count";
-    vals += ", ?";
+  return "insert into " + view + " (" + cols + ", _count) values (" + vals +
+         ", ?)";
+}
+
+/// `delete from <view> where g = ? and _count <= 0[ and s = 0.0 ...]`.
+/// Tier-1 erases on the count alone: its idle sweep sees every sibling task
+/// that could still move the group, so at the sweep the applied count is
+/// the true count. The merge side cannot see export windows still batching
+/// on a shard, so it also demands exact zero sums (GenerateMergeRule).
+std::string EraseText(const std::string& view, const ViewShape& shape,
+                      bool require_zero_sums) {
+  std::string sql = "delete from " + view + " where " + shape.group_output +
+                    " = ? and _count <= 0";
+  if (require_zero_sums) {
+    for (const AggItem& item : shape.aggs) {
+      sql += " and " + item.output + " = 0.0";
+    }
   }
-  return "insert into " + view + " (" + cols + ") values (" + vals + ")";
+  return sql;
 }
 
 /// `select <group>, <dim part>... from <dim> where <dim jk> = ? and ...`.
@@ -683,6 +716,45 @@ std::string ProbeText(const ViewShape& shape, const ProbeParts& probe) {
   return sql;
 }
 
+/// Prepares the statements applying group deltas to `view`, whose hidden
+/// `_count` column follows the shape's aggregates.
+Result<std::shared_ptr<AggPlan>> PrepareAggPlan(Database& db,
+                                                const std::string& view,
+                                                const ViewShape& shape,
+                                                bool erase_requires_zero_sums) {
+  auto plan = std::make_shared<AggPlan>();
+  for (const AggItem& item : shape.aggs) {
+    plan->item_is_count.push_back(item.is_count);
+    plan->item_is_avg.push_back(item.is_avg);
+  }
+  STRIP_ASSIGN_OR_RETURN(plan->update, db.Prepare(UpdateText(view, shape)));
+  STRIP_ASSIGN_OR_RETURN(plan->upsert, db.Prepare(UpsertText(view, shape)));
+  STRIP_ASSIGN_OR_RETURN(
+      plan->count_check,
+      db.Prepare("select _count from " + view + " where " +
+                 shape.group_output + " = ?"));
+  STRIP_ASSIGN_OR_RETURN(
+      plan->erase,
+      db.Prepare(EraseText(view, shape, erase_requires_zero_sums)));
+  if (shape.has_avg) {
+    STRIP_ASSIGN_OR_RETURN(plan->avg_read,
+                           db.Prepare(AvgReadText(view, shape)));
+  }
+  return plan;
+}
+
+/// Indexes `table.column` unless an index exists: every generated statement
+/// addresses the view by this column, and without the index each UPDATE,
+/// count check, erase and point read scans the whole view. Runs as DDL, so
+/// the catalog generation moves and cached plans re-resolve.
+Status EnsureIndex(Database& db, const std::string& table,
+                   const std::string& column) {
+  STRIP_ASSIGN_OR_RETURN(Table * t, db.catalog().GetTable(table));
+  if (t->FindIndex(column) != nullptr) return Status::OK();
+  return db.Execute("create index on " + table + " (" + column + ")")
+      .status();
+}
+
 // ---------------------------------------------------------------------------
 // Dimension-change fallback
 // ---------------------------------------------------------------------------
@@ -692,8 +764,8 @@ std::string ProbeText(const ViewShape& shape, const ProbeParts& probe) {
 /// known dim-side gap of the delta rules observable instead of silent.
 Status InstallDimFallback(Database& db, const std::string& view_name,
                           const std::vector<TableRef>& dims,
-                          const RuleGenOptions& options, GeneratedRule& out) {
-  if (!options.dim_change_fallback || dims.empty()) return Status::OK();
+                          double delay_seconds, GeneratedRule& out) {
+  if (dims.empty()) return Status::OK();
   std::string fn = "dim_refresh_" + view_name;
   // Every firing counts (the counter stays exact), but a dim-heavy
   // workload fires this once per delay window per dim table — the WARN is
@@ -724,7 +796,7 @@ Status InstallDimFallback(Database& db, const std::string& view_name,
     rule.function_name = fn;
     // One recompute per delay window, however much dim churn it batches.
     rule.unique = true;
-    rule.delay_seconds = options.delay_seconds;
+    rule.delay_seconds = delay_seconds;
     STRIP_RETURN_IF_ERROR(db.rules().CreateRule(std::move(rule)));
     out.extra_rule_names.push_back(std::move(rule_name));
   }
@@ -786,55 +858,20 @@ Result<GeneratedRule> GenerateMaintenanceRule(Database& db,
                    : strategy == AggStrategy::kDimProbe ? "dim-probe"
                                                         : "join-in-condition";
 
-    // Hidden count: needed when deletes are maintained — and always by
-    // AVG, whose quotient update divides by the group's membership.
-    if (shape.has_avg && !options.track_group_count) {
-      return Status::InvalidArgument(
-          "AVG maintenance requires track_group_count (the quotient is "
-          "recovered from the hidden per-group _count)");
-    }
-    bool track_count =
-        options.track_group_count &&
-        (options.handle_insert_delete || shape.has_avg);
-    if (track_count) {
-      for (const AggItem& item : shape.aggs) {
-        if (item.output == "_count") {
-          return Status::InvalidArgument(
-              "view column '_count' collides with the hidden group count");
-        }
-      }
-      STRIP_RETURN_IF_ERROR(db.views().EnableHiddenCount(view_name));
-    }
-
-    auto plan = std::make_shared<AggPlan>();
-    plan->track_count = track_count;
-    plan->has_avg = shape.has_avg;
+    // Hidden count: deletes erase a group once its membership reaches
+    // zero, and AVG's quotient update divides by it.
     for (const AggItem& item : shape.aggs) {
-      plan->item_is_count.push_back(item.is_count);
-      plan->item_is_avg.push_back(item.is_avg);
+      if (item.output == "_count") {
+        return Status::InvalidArgument(
+            "view column '_count' collides with the hidden group count");
+      }
     }
+    STRIP_RETURN_IF_ERROR(db.views().EnableHiddenCount(view_name));
+    STRIP_RETURN_IF_ERROR(EnsureIndex(db, view_name, shape.group_output));
     STRIP_ASSIGN_OR_RETURN(
-        plan->update, db.Prepare(UpdateText(view_name, shape, track_count)));
-    if (shape.has_avg) {
-      STRIP_ASSIGN_OR_RETURN(plan->avg_read,
-                             db.Prepare(AvgReadText(view_name, shape)));
-    }
-    if (options.handle_insert_delete) {
-      STRIP_ASSIGN_OR_RETURN(
-          plan->upsert, db.Prepare(UpsertText(view_name, shape, track_count)));
-    }
-    if (track_count) {
-      STRIP_ASSIGN_OR_RETURN(
-          plan->count_check,
-          db.Prepare(StrFormat("select _count from %s where %s = ?",
-                               view_name.c_str(),
-                               shape.group_output.c_str())));
-      STRIP_ASSIGN_OR_RETURN(
-          plan->erase,
-          db.Prepare(StrFormat(
-              "delete from %s where %s = ? and _count <= 0",
-              view_name.c_str(), shape.group_output.c_str())));
-    }
+        std::shared_ptr<AggPlan> plan,
+        PrepareAggPlan(db, view_name, shape,
+                       /*erase_requires_zero_sums=*/false));
     if (strategy == AggStrategy::kDimProbe) {
       STRIP_ASSIGN_OR_RETURN(plan->probe,
                              db.Prepare(ProbeText(shape, probe)));
@@ -865,11 +902,9 @@ Result<GeneratedRule> GenerateMaintenanceRule(Database& db,
       bool positive;
       bool negative;
     };
-    std::vector<RuleSpec> specs = {{"", RuleEventKind::kUpdated, true, true}};
-    if (options.handle_insert_delete) {
-      specs.push_back({"_ins", RuleEventKind::kInserted, true, false});
-      specs.push_back({"_del", RuleEventKind::kDeleted, false, true});
-    }
+    const RuleSpec specs[] = {{"", RuleEventKind::kUpdated, true, true},
+                              {"_ins", RuleEventKind::kInserted, true, false},
+                              {"_del", RuleEventKind::kDeleted, false, true}};
     for (const RuleSpec& spec : specs) {
       plan->sibling_functions.push_back(function_name + spec.suffix);
     }
@@ -980,8 +1015,14 @@ Result<GeneratedRule> GenerateMaintenanceRule(Database& db,
       std::string fn = function_name + spec.suffix;
       std::string bound = bound_name + spec.suffix;
       STRIP_RETURN_IF_ERROR(db.RegisterFunction(
-          fn, MakeAggregateMaintainer(plan, bound, spec.positive,
-                                      spec.negative)));
+          fn, MakeFoldAndApply(
+                  bound,
+                  FactDeltaDecoder(shape.num_sums, spec.positive,
+                                   spec.negative),
+                  ApplyStep(plan),
+                  [plan](FunctionContext& ctx, const TempTable&) {
+                    return SweepIfIdle(ctx, *plan);
+                  })));
 
       CreateRuleStmt rule;
       rule.rule_name = rule_name + spec.suffix;
@@ -997,35 +1038,29 @@ Result<GeneratedRule> GenerateMaintenanceRule(Database& db,
       rq.bind_as = bound;
       rule.condition.push_back(std::move(rq));
       rule.function_name = fn;
-      rule.unique = options.unique;
-      if (!options.unique_columns.empty()) {
-        rule.unique_columns = options.unique_columns;
-      } else if (options.unique) {
-        // §8 rule of thumb: batch on the delta key — same-key deltas are
-        // exactly the ones the fold collapses.
-        rule.unique_columns = {"_key"};
-      }
+      // §8 rule of thumb for the unit of batching: the delta key — the
+      // view's group column (direct / join) or the fact join key
+      // (dim-probe). Same-key deltas are exactly the ones the fold
+      // collapses.
+      rule.unique = true;
+      rule.unique_columns = {"_key"};
       rule.delay_seconds = options.delay_seconds;
 
       if (spec.suffix[0] == '\0') {
         out.rule_sql = StrFormat(
             "create rule %s on %s when updated %s if %s bind as %s then "
-            "execute %s%s%s after %g seconds",
+            "execute %s unique on _key after %g seconds",
             rule.rule_name.c_str(), fact.c_str(),
             Join(rule.events[0].columns, ", ").c_str(),
             rule.condition[0].query.ToString().c_str(), bound.c_str(),
-            fn.c_str(), rule.unique ? " unique" : "",
-            rule.unique_columns.empty()
-                ? ""
-                : (" on " + Join(rule.unique_columns, ", ")).c_str(),
-            options.delay_seconds);
+            fn.c_str(), options.delay_seconds);
       } else {
         out.extra_rule_names.push_back(rule.rule_name);
       }
       STRIP_RETURN_IF_ERROR(db.rules().CreateRule(std::move(rule)));
     }
-    STRIP_RETURN_IF_ERROR(
-        InstallDimFallback(db, view_name, dims, options, out));
+    STRIP_RETURN_IF_ERROR(InstallDimFallback(db, view_name, dims,
+                                             options.delay_seconds, out));
     STRIP_RETURN_IF_ERROR(db.views().MarkMaintained(view_name));
     return out;
   }
@@ -1058,17 +1093,16 @@ Result<GeneratedRule> GenerateMaintenanceRule(Database& db,
   }
   cond.where = std::move(where);
 
-  // UPDATE view SET c1 = ?1, ..., cn = ?n WHERE key = ?n+1
-  UpdateStmt upd;
-  upd.table = view_name;
-  for (size_t i = 0; i < shape.value_outputs.size(); ++i) {
-    upd.sets.push_back(UpdateStmt::SetClause{
-        shape.value_outputs[i], MakeParameter(static_cast<int>(i))});
+  // update <view> set c1 = ?, ..., cn = ? where <key> = ?
+  STRIP_RETURN_IF_ERROR(EnsureIndex(db, view_name, shape.key_output));
+  std::string update_sql = "update " + view_name + " set ";
+  for (const std::string& col : shape.value_outputs) {
+    update_sql += col + " = ?, ";
   }
-  upd.where = MakeBinary(
-      BinaryOp::kEq, MakeColumnRef("", shape.key_output),
-      MakeParameter(static_cast<int>(shape.value_outputs.size())));
-  auto update = std::make_shared<Statement>(std::move(upd));
+  update_sql.resize(update_sql.size() - 2);
+  update_sql += " where " + shape.key_output + " = ?";
+  STRIP_ASSIGN_OR_RETURN(PreparedStatementPtr update,
+                         db.Prepare(update_sql));
   STRIP_RETURN_IF_ERROR(db.RegisterFunction(
       function_name,
       MakeProjectionMaintainer(update, bound_name,
@@ -1086,29 +1120,23 @@ Result<GeneratedRule> GenerateMaintenanceRule(Database& db,
   rq.bind_as = bound_name;
   rule.condition.push_back(std::move(rq));
   rule.function_name = function_name;
-  rule.unique = options.unique;
   // Batching per view row would flood the system when the fact -> view
-  // fan-out is high (§5.2); the generator defaults to coarse batching and
-  // leaves per-fact-key batching to the caller via unique_columns.
-  if (!options.unique_columns.empty()) {
-    rule.unique_columns = options.unique_columns;
-  }
+  // fan-out is high (§5.2), so projection rules batch coarsely: one
+  // recompute pass per delay window.
+  rule.unique = true;
   rule.delay_seconds = options.delay_seconds;
 
   out.rule_sql = StrFormat(
       "create rule %s on %s when updated %s if %s bind as %s then execute "
-      "%s%s%s after %g seconds",
+      "%s unique after %g seconds",
       rule_name.c_str(), fact.c_str(),
       Join(rule.events[0].columns, ", ").c_str(),
       rule.condition[0].query.ToString().c_str(), bound_name.c_str(),
-      function_name.c_str(), rule.unique ? " unique" : "",
-      rule.unique_columns.empty()
-          ? ""
-          : (" on " + Join(rule.unique_columns, ", ")).c_str(),
-      options.delay_seconds);
+      function_name.c_str(), options.delay_seconds);
 
   STRIP_RETURN_IF_ERROR(db.rules().CreateRule(std::move(rule)));
-  STRIP_RETURN_IF_ERROR(InstallDimFallback(db, view_name, dims, options, out));
+  STRIP_RETURN_IF_ERROR(InstallDimFallback(db, view_name, dims,
+                                           options.delay_seconds, out));
   STRIP_RETURN_IF_ERROR(db.views().MarkMaintained(view_name));
   return out;
 }
@@ -1135,19 +1163,12 @@ Result<SelectStmt> ParseSelectText(const std::string& sql) {
   return std::get<SelectStmt>(std::move(stmt));
 }
 
-/// The export action: net the window's view-table changes to one delta
-/// per group (the fold REQUIRED before anything crosses the shard
-/// boundary), then hand each to the sink as a staging-layout feed record
-/// tracing back to this firing.
-UserFunction MakeDeltaExporter(std::shared_ptr<ExportPlan> plan,
-                               std::string bound_name, size_t num_sums) {
-  return [plan, bound_name, num_sums](FunctionContext& ctx) -> Status {
-    const TempTable* rows = ctx.BoundTable(bound_name);
-    if (rows == nullptr) {
-      return Status::NotFound(
-          StrFormat("bound table '%s' missing", bound_name.c_str()));
-    }
-    const Schema& s = rows->schema();
+/// Export contributions: the partial view's netting query already computes
+/// each changed row's (_key, _d<i>, _dc).
+DeltaDecoder ViewChangeDecoder(size_t num_sums) {
+  return [num_sums](const TempTable& rows, Timestamp change_time)
+             -> Result<std::vector<GroupDelta>> {
+    const Schema& s = rows.schema();
     int key_col = s.FindColumn("_key");
     int cnt_col = s.FindColumn("_dc");
     std::vector<int> sum_cols;
@@ -1159,40 +1180,34 @@ UserFunction MakeDeltaExporter(std::shared_ptr<ExportPlan> plan,
     if (missing) {
       return Status::Internal("generated export bound table misses columns");
     }
-
-    TaskControlBlock& tcb = ctx.task();
     std::vector<GroupDelta> contrib;
-    contrib.reserve(rows->size());
-    for (size_t i = 0; i < rows->size(); ++i) {
+    contrib.reserve(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
       GroupDelta d;
-      d.key = rows->Get(i, key_col);
-      for (int c : sum_cols) d.sums.push_back(rows->Get(i, c).as_double());
-      d.count = rows->Get(i, cnt_col).as_int();
-      d.change_time = tcb.oldest_change_time;
+      d.key = rows.Get(i, key_col);
+      for (int c : sum_cols) d.sums.push_back(rows.Get(i, c).as_double());
+      d.count = rows.Get(i, cnt_col).as_int();
+      d.change_time = change_time;
       contrib.push_back(std::move(d));
     }
-    const size_t contributions = contrib.size();
-    std::vector<GroupDelta> folded = FoldGroupDeltas(std::move(contrib));
-    tcb.deltas_folded += contributions - folded.size();
+    return contrib;
+  };
+}
 
-    for (const GroupDelta& d : folded) {
-      bool all_zero = d.count == 0;
-      for (size_t i = 0; all_zero && i < d.sums.size(); ++i) {
-        all_zero = d.sums[i] == 0.0;
-      }
-      if (all_zero) continue;
-      uint64_t seq =
-          plan->shard_bits |
-          plan->next_seq.fetch_add(1, std::memory_order_relaxed);
-      FeedRecord rec;
-      rec.at = 0;  // release immediately on the merge engine's clock
-      rec.values = EncodeGroupDeltaRow(d, static_cast<int64_t>(seq));
-      // The shipped record continues this firing's trace, so the merge
-      // commit chains back through the shard firing to the router root.
-      rec.trace = ChildOf(tcb.trace);
-      STRIP_RETURN_IF_ERROR(plan->sink(rec));
-    }
-    return Status::OK();
+/// Export step: the net delta (the fold is REQUIRED before anything
+/// crosses the shard boundary) goes to the sink as a staging-layout feed
+/// record tracing back to this firing.
+DeltaStep ShipStep(std::shared_ptr<ExportPlan> plan) {
+  return [plan](FunctionContext& ctx, const GroupDelta& d) -> Status {
+    uint64_t seq = plan->shard_bits |
+                   plan->next_seq.fetch_add(1, std::memory_order_relaxed);
+    FeedRecord rec;
+    rec.at = 0;  // release immediately on the merge engine's clock
+    rec.values = EncodeGroupDeltaRow(d, static_cast<int64_t>(seq));
+    // The shipped record continues this firing's trace, so the merge
+    // commit chains back through the shard firing to the router root.
+    rec.trace = ChildOf(ctx.task().trace);
+    return plan->sink(rec);
   };
 }
 
@@ -1265,7 +1280,8 @@ Result<ShardExportSpec> GenerateShardDeltaExport(
     std::string fn = "export_" + view_name + spec.suffix;
     std::string bound = view_name + "_export" + spec.suffix;
     STRIP_RETURN_IF_ERROR(db.RegisterFunction(
-        fn, MakeDeltaExporter(plan, bound, sum_cols.size())));
+        fn, MakeFoldAndApply(bound, ViewChangeDecoder(sum_cols.size()),
+                             ShipStep(plan), nullptr)));
 
     CreateRuleStmt rule;
     rule.rule_name = "do_export_" + view_name + spec.suffix;
@@ -1293,136 +1309,23 @@ Result<ShardExportSpec> GenerateShardDeltaExport(
 
 namespace {
 
-/// Shared state of the merge action: frozen plans against the top-level
-/// view plus the staging cleanup statement and the deferred zero-count
-/// sweep (same contract as AggPlan's).
-struct MergePlan {
-  PreparedStatementPtr update;       // UPDATE view SET s += ?.. WHERE g = ?
-  PreparedStatementPtr insert;       // INSERT INTO view VALUES (...)
-  PreparedStatementPtr count_check;  // SELECT _count WHERE g = ?
-  PreparedStatementPtr erase;  // DELETE WHERE g = ? AND _count <= 0 AND s = 0
-  PreparedStatementPtr del_staging;  // DELETE FROM staging WHERE _seq = ?
-  std::string function_name;
-  size_t num_sums = 0;
-
-  std::mutex mu;
-  std::unordered_set<Value, ValueHash> zero_set;
-  std::vector<Value> zero_groups;
-};
-
-UserFunction MakeMergeMaintainer(std::shared_ptr<MergePlan> plan,
-                                 std::string bound_name) {
-  return [plan, bound_name](FunctionContext& ctx) -> Status {
-    const TempTable* rows = ctx.BoundTable(bound_name);
-    if (rows == nullptr) {
-      return Status::NotFound(
-          StrFormat("bound table '%s' missing", bound_name.c_str()));
-    }
-    TaskControlBlock& tcb = ctx.task();
+/// Merge contributions: staged rows in the EncodeGroupDeltaRow layout.
+/// The shipped change time survives the hop, so the merge commit is judged
+/// against the oldest shard-side update it applies.
+DeltaDecoder StagedDeltaDecoder(size_t num_sums) {
+  return [num_sums](const TempTable& rows,
+                    Timestamp) -> Result<std::vector<GroupDelta>> {
     std::vector<GroupDelta> staged;
-    std::vector<Value> seqs;
-    staged.reserve(rows->size());
-    seqs.reserve(rows->size());
-    for (size_t i = 0; i < rows->size(); ++i) {
-      std::vector<Value> row = rows->MaterializeRow(i);
-      seqs.push_back(row.empty() ? Value::Null() : row[0]);
-      STRIP_ASSIGN_OR_RETURN(GroupDelta d, DecodeGroupDeltaRow(row));
-      if (d.sums.size() != plan->num_sums) {
+    staged.reserve(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      STRIP_ASSIGN_OR_RETURN(GroupDelta d,
+                             DecodeGroupDeltaRow(rows.MaterializeRow(i)));
+      if (d.sums.size() != num_sums) {
         return Status::Internal("staged delta arity mismatch");
-      }
-      // The shipped change time survives the hop: the merge commit is
-      // judged against the oldest shard-side update it applies.
-      if (d.change_time >= 0 && (tcb.oldest_change_time < 0 ||
-                                 d.change_time < tcb.oldest_change_time)) {
-        tcb.oldest_change_time = d.change_time;
       }
       staged.push_back(std::move(d));
     }
-    const size_t contributions = staged.size();
-    std::vector<GroupDelta> folded = FoldGroupDeltas(std::move(staged));
-    tcb.deltas_folded += contributions - folded.size();
-
-    for (const GroupDelta& d : folded) {
-      bool all_zero = d.count == 0;
-      for (size_t i = 0; all_zero && i < d.sums.size(); ++i) {
-        all_zero = d.sums[i] == 0.0;
-      }
-      if (all_zero) continue;
-      std::vector<Value> params;
-      params.reserve(d.sums.size() + 2);
-      for (double s : d.sums) params.push_back(Value::Double(s));
-      params.push_back(Value::Int(d.count));
-      params.push_back(d.key);
-      STRIP_ASSIGN_OR_RETURN(int n, ctx.Exec(*plan->update, params));
-      bool inserted = false;
-      if (n == 0) {
-        std::vector<Value> ins;
-        ins.reserve(params.size());
-        ins.push_back(d.key);
-        ins.insert(ins.end(), params.begin(), params.end() - 1);
-        STRIP_ASSIGN_OR_RETURN(n, ctx.Exec(*plan->insert, ins));
-        inserted = true;
-      }
-      if (n != 1) {
-        return Status::Internal(StrFormat(
-            "merge update for key '%s' touched %d rows",
-            d.key.ToString().c_str(), n));
-      }
-      // Any delta that moved _count can leave the group at or below zero:
-      // a genuine delete wave, but also an out-of-order interim — shard
-      // export rules (_ins / _upd / _del) batch in independent windows, so
-      // an update delta can reach the merge before the insert delta that
-      // logically precedes it, landing a row at count 0 with nonzero sums.
-      // Both get flagged; the sweep below tells them apart.
-      if (inserted || d.count != 0) {
-        STRIP_ASSIGN_OR_RETURN(TempTable r,
-                               ctx.Query(*plan->count_check, {d.key}));
-        if (r.size() == 1 && r.Get(0, 0).as_int() <= 0) {
-          std::lock_guard<std::mutex> lock(plan->mu);
-          if (plan->zero_set.insert(d.key).second) {
-            plan->zero_groups.push_back(d.key);
-          }
-        }
-      }
-    }
-
-    // Consumed staged rows are spent; remove them so the staging table
-    // stays O(in-flight deltas), not O(history).
-    for (const Value& seq : seqs) {
-      STRIP_ASSIGN_OR_RETURN(int n, ctx.Exec(*plan->del_staging, {seq}));
-      (void)n;
-    }
-
-    // Deferred zero-count sweep, tier-1's contract: erase only at a firing
-    // with no queued sibling merge work, re-checking the count. Unlike
-    // tier-1, the erase also demands every SUM column be exactly zero:
-    // NumQueued can only see shipments already staged HERE, not windows
-    // still batching on a shard, so a count-0 row with nonzero sums is an
-    // out-of-order interim (its insert delta is still in flight) and must
-    // survive. A truly emptied group's shipments telescope — each is a
-    // difference of stored backing values — so under exactly-representable
-    // deltas (the generator's contract; see GenerateShardDeltaExport) a
-    // dead group reaches exact zeros and the stricter predicate never
-    // strands it.
-    {
-      std::lock_guard<std::mutex> lock(plan->mu);
-      if (plan->zero_groups.empty()) return Status::OK();
-    }
-    if (ctx.db().rules().unique_manager().NumQueued(plan->function_name) >
-        0) {
-      return Status::OK();
-    }
-    std::vector<Value> groups;
-    {
-      std::lock_guard<std::mutex> lock(plan->mu);
-      groups.swap(plan->zero_groups);
-      plan->zero_set.clear();
-    }
-    for (const Value& g : groups) {
-      STRIP_ASSIGN_OR_RETURN(int n, ctx.Exec(*plan->erase, {g}));
-      (void)n;  // 0 if the group was resurrected meanwhile
-    }
-    return Status::OK();
+    return staged;
   };
 }
 
@@ -1441,9 +1344,15 @@ Result<MergeRuleSpec> GenerateMergeRule(Database& db,
         "first, SUM columns between)",
         view_table.c_str()));
   }
-  const std::string g = schema.column(0).name;
-  std::vector<std::string> sum_cols;
-  for (int c = 1; c < count_col; ++c) sum_cols.push_back(schema.column(c).name);
+  // The merge view reads like a pure-SUM aggregation view whose hidden
+  // count is already in place.
+  ViewShape shape;
+  shape.is_aggregation = true;
+  shape.group_output = schema.column(0).name;
+  for (int c = 1; c < count_col; ++c) {
+    shape.aggs.push_back(AggItem{false, false, nullptr, schema.column(c).name});
+  }
+  shape.num_sums = shape.aggs.size();
 
   MergeRuleSpec out;
   out.staging_table = view_table + "_deltas";
@@ -1454,45 +1363,55 @@ Result<MergeRuleSpec> GenerateMergeRule(Database& db,
   // _seq so the cluster's staging FeedImporter can ingest shipped records.
   std::string ddl = "create table " + out.staging_table + " (_seq int, _g " +
                     ValueTypeName(schema.column(0).type);
-  for (size_t i = 0; i < sum_cols.size(); ++i) {
+  for (size_t i = 0; i < shape.num_sums; ++i) {
     ddl += StrFormat(", _s%zu double", i);
   }
   ddl += ", _cnt int, _ct int); create index on " + out.staging_table +
          " (_seq);";
   STRIP_RETURN_IF_ERROR(db.ExecuteScript(ddl));
+  STRIP_RETURN_IF_ERROR(EnsureIndex(db, view_table, shape.group_output));
 
-  auto plan = std::make_shared<MergePlan>();
-  plan->function_name = out.function_name;
-  plan->num_sums = sum_cols.size();
-  std::string upd = "update " + view_table + " set ";
-  for (const std::string& s : sum_cols) upd += s + " += ?, ";
-  upd += "_count += ? where " + g + " = ?";
-  STRIP_ASSIGN_OR_RETURN(plan->update, db.Prepare(upd));
-  std::string ins = "insert into " + view_table + " values (?";
-  for (size_t i = 0; i < sum_cols.size() + 1; ++i) ins += ", ?";
-  ins += ")";
-  STRIP_ASSIGN_OR_RETURN(plan->insert, db.Prepare(ins));
+  // Unlike tier-1, the erase also demands every SUM column be exactly
+  // zero: NumQueued can only see shipments already staged HERE, not
+  // windows still batching on a shard, so a count-0 row with nonzero sums
+  // is an out-of-order interim (its insert delta is still in flight) and
+  // must survive. A truly emptied group's shipments telescope — each is a
+  // difference of stored backing values — so under exactly-representable
+  // deltas (the generator's contract; see GenerateShardDeltaExport) a dead
+  // group reaches exact zeros and the stricter predicate never strands it.
   STRIP_ASSIGN_OR_RETURN(
-      plan->count_check,
-      db.Prepare("select _count from " + view_table + " where " + g + " = ?"));
-  std::string erase_sql =
-      "delete from " + view_table + " where " + g + " = ? and _count <= 0";
-  for (const std::string& s : sum_cols) erase_sql += " and " + s + " = 0.0";
-  STRIP_ASSIGN_OR_RETURN(plan->erase, db.Prepare(erase_sql));
+      std::shared_ptr<AggPlan> plan,
+      PrepareAggPlan(db, view_table, shape,
+                     /*erase_requires_zero_sums=*/true));
+  plan->sibling_functions = {out.function_name};
   STRIP_ASSIGN_OR_RETURN(
-      plan->del_staging,
+      PreparedStatementPtr retire,
       db.Prepare("delete from " + out.staging_table + " where _seq = ?"));
 
   std::string bound = "_merge_" + view_table;
-  STRIP_RETURN_IF_ERROR(
-      db.RegisterFunction(out.function_name,
-                          MakeMergeMaintainer(plan, bound)));
+  STRIP_RETURN_IF_ERROR(db.RegisterFunction(
+      out.function_name,
+      MakeFoldAndApply(
+          bound, StagedDeltaDecoder(shape.num_sums), ApplyStep(plan),
+          [plan, retire](FunctionContext& ctx,
+                         const TempTable& rows) -> Status {
+            // Consumed staged rows are spent; remove them so the staging
+            // table stays O(in-flight deltas), not O(history).
+            for (size_t i = 0; i < rows.size(); ++i) {
+              STRIP_ASSIGN_OR_RETURN(int n,
+                                     ctx.Exec(*retire, {rows.Get(i, 0)}));
+              (void)n;
+            }
+            return SweepIfIdle(ctx, *plan);
+          })));
 
   // Explicit column list (not SELECT *): the bound rows must match the
   // DecodeGroupDeltaRow layout exactly, without the transition table's
   // trailing execute_order.
   std::string cond = "select _seq, _g";
-  for (size_t i = 0; i < sum_cols.size(); ++i) cond += StrFormat(", _s%zu", i);
+  for (size_t i = 0; i < shape.num_sums; ++i) {
+    cond += StrFormat(", _s%zu", i);
+  }
   cond += ", _cnt, _ct from inserted";
 
   CreateRuleStmt rule;

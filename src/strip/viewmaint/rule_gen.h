@@ -13,16 +13,16 @@ namespace strip {
 
 class Database;
 
-/// Options for generated maintenance rules. The paper's §8 conjectures
-/// that the [CW91] approach of deriving maintenance rules from view
-/// definitions extends to deriving the unit of batching and the delay
-/// window as well; this module implements that conjecture for the view
-/// shapes the evaluation uses:
+/// Generated maintenance rules. The paper's §8 conjectures that the [CW91]
+/// approach of deriving maintenance rules from view definitions extends to
+/// deriving the unit of batching and the delay window as well; this module
+/// implements that conjecture for the view shapes the evaluation uses:
 ///
-///  - aggregation views:  SELECT g, SUM(e)... [, COUNT(*)]
+///  - aggregation views:  SELECT g, SUM(e)... [, AVG(e)...] [, COUNT(*)]
 ///                        FROM fact [, dims...] WHERE equi-joins GROUP BY g
-///    maintained from the bound-table delta. Three derivation strategies,
-///    picked automatically:
+///    maintained from the fact table's inserts, updates and deletes by
+///    three companion rules. Three derivation strategies, picked
+///    automatically:
 ///      * direct     — no dimensions: deltas keyed by the group column;
 ///      * dim-probe  — one dimension, group key and weights on the
 ///        dimension side (the comp_prices shape): the condition query
@@ -31,14 +31,33 @@ class Database;
 ///        compute_comps3 pattern of §4.3, generated;
 ///      * join-in-condition — general fallback: the condition query joins
 ///        the dimensions at commit time and emits per-group deltas.
-///    All strategies fold same-key deltas (rules/net_effect) before
-///    applying, so a batched unique transaction applies one net delta per
-///    group: maintenance cost O(|delta|), not O(|group|).
+///    The backing table gains a hidden per-group `_count`; a group whose
+///    count reaches zero is erased by a sweep deferred to a firing with no
+///    queued sibling task, so reordered batched deltas never erase a group
+///    a pending delta will resurrect.
 ///
 ///  - projection views:   SELECT k, exprs... FROM fact [, dims...]
 ///                        WHERE equi-joins
 ///    maintained by recomputing affected rows (e.g. Black-Scholes option
 ///    prices), like do_options.
+///
+/// Every generated aggregate action — tier-1 maintenance here, and the
+/// shard export and merge actions below — runs one fold-and-apply
+/// routine: bound rows become group delta contributions, same-key deltas
+/// fold (rules/net_effect), and each net delta is applied, shipped, or
+/// applied and retired. A batched unique transaction therefore applies one
+/// net delta per group: maintenance cost O(|delta|), not O(|group|).
+///
+/// The generator derives everything but the delay window: aggregation
+/// rules batch `unique on` the delta key (the group column, or the fact
+/// join key under dim-probe) — "just large enough to take advantage of the
+/// redundancy in the recomputation but no larger" (§8) — and projection
+/// rules batch coarsely, one recompute pass per window. It indexes the
+/// backing table on the group (or key) column when no index exists, and
+/// installs a recompute fallback rule on every dimension table: delta
+/// rules see fact-table changes only (§3 treats dimensions as slowly
+/// changing), so a dimension change refreshes the view from scratch,
+/// bumps `viewmaint.dim_fallback_recompute` and logs a warning.
 ///
 /// Known fallback limitation: with several dimensions (join-in-condition
 /// strategy), an UPDATE that changes the fact-side join key matches the
@@ -46,36 +65,8 @@ class Database;
 /// strategy handles join-key updates exactly (old and new keys are probed
 /// separately).
 struct RuleGenOptions {
-  /// Batch with a unique transaction. When true and `unique_columns` is
-  /// empty, the generator picks the unit of batching itself: the delta
-  /// key — the view's group column (direct / join strategies) or the fact
-  /// join key (dim-probe) — "just large enough to take advantage of the
-  /// redundancy in the recomputation but no larger" (§8).
-  bool unique = true;
-  std::vector<std::string> unique_columns;
+  /// The delay window of every generated rule (§6.3).
   double delay_seconds = 1.0;
-  /// Aggregation views only: also generate rules maintaining the view
-  /// under INSERTs and DELETEs of fact rows (delta = +e for inserts,
-  /// -e for deletes; a delta for a group not yet in the view inserts the
-  /// row).
-  bool handle_insert_delete = true;
-  /// Aggregation views only (and only with handle_insert_delete): track
-  /// membership in a hidden per-group `_count` column on the backing
-  /// table, and delete a group's row once its count reaches zero — fixing
-  /// the documented [CW91] limitation where a fully-deleted group left a
-  /// zero-sum row behind. Row deletion is deferred to the first
-  /// maintenance firing that sees no queued sibling tasks, so out-of-order
-  /// batched firings can never erase a group that a pending delta will
-  /// resurrect.
-  bool track_group_count = true;
-  /// Generated delta rules maintain the view under FACT-table changes
-  /// only; dimension tables are assumed slowly changing (§3). With this
-  /// set, the generator also installs a rule on every dimension table
-  /// whose action recomputes the view from scratch (RefreshView), bumps
-  /// the `viewmaint.dim_fallback_recompute` counter, and logs a warning —
-  /// so a dim change is correct but visibly expensive in `.metrics`,
-  /// instead of silently leaving the view stale.
-  bool dim_change_fallback = true;
 };
 
 /// What the generator produced (for inspection / documentation).
@@ -83,8 +74,8 @@ struct GeneratedRule {
   std::string rule_name;       // the primary (update-event) rule
   std::string function_name;
   std::string rule_sql;        // display form of the primary rule
-  /// Companion rules for insert/delete events (aggregation views with
-  /// handle_insert_delete).
+  /// Companion rules: insert/delete events (aggregation views) and the
+  /// dimension-change fallback rules.
   std::vector<std::string> extra_rule_names;
   /// Which derivation the generator picked: "direct", "dim-probe",
   /// "join-in-condition", or "projection".
@@ -157,9 +148,11 @@ struct MergeRuleSpec {
 /// Installs the tier-2 merge side on the merge engine: creates the staging
 /// table for `view_table` (which must already exist there with the shard
 /// partial views' column layout — group key first, SUM columns, `_count`
-/// last) and the merge rule applying folded staged deltas to it. Groups
-/// whose `_count` reaches zero are erased by the same deferred sweep the
-/// tier-1 rules use.
+/// last) and the merge rule applying folded staged deltas to it, indexing
+/// the group column when no index exists. Groups are erased by the tier-1
+/// deferred sweep, but only once `_count` is at most zero AND every SUM is
+/// exactly zero: a count-0 row with nonzero sums is an out-of-order
+/// interim whose insert delta is still batching on a shard.
 Result<MergeRuleSpec> GenerateMergeRule(Database& db,
                                         const std::string& view_table,
                                         const MergeRuleOptions& options);

@@ -97,6 +97,50 @@ TEST(ThreadedIntegrationTest, BatchedRuleMaintainsTotals) {
   EXPECT_GT(db.rules().stats().firings_merged, 0u);
 }
 
+TEST(ThreadedIntegrationTest, EveryUniqueFiringCountedOnceCreatedOrMerged) {
+  // Concurrent commits fire one unique rule whose long window batches
+  // them: each firing either creates the window's task or merges into
+  // it, and each outcome is counted exactly once however commits race.
+  Database db(Threaded(2));
+  ASSERT_OK(db.ExecuteScript(R"(
+    create table ticks (id int, v double);
+    create index on ticks (id);
+    insert into ticks values (0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0);
+  )"));
+  ASSERT_OK(db.RegisterFunction(
+      "noop", [](FunctionContext&) -> Status { return Status::OK(); }));
+  ASSERT_OK(db.Execute(R"(
+    create rule r on ticks when updated v
+    if select new.id as id from new bind as d
+    then execute noop unique after 0.5 seconds
+  )").status());
+
+  constexpr int kThreads = 4;
+  constexpr int kCommitsPerThread = 25;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kThreads; ++w) {
+    writers.emplace_back([&db, w] {
+      for (int i = 0; i < kCommitsPerThread; ++i) {
+        for (;;) {
+          auto r = db.Execute("update ticks set v += 1.0 where id = " +
+                              std::to_string(w));
+          if (r.ok()) break;
+          ASSERT_EQ(r.status().code(), StatusCode::kAborted)
+              << r.status().ToString();
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  db.threaded()->Drain();
+
+  const RuleStats& stats = db.rules().stats();
+  EXPECT_GT(stats.firings_merged.load(), 0u);
+  EXPECT_EQ(stats.tasks_created.load() + stats.firings_merged.load(),
+            static_cast<uint64_t>(kThreads * kCommitsPerThread));
+}
+
 TEST(ThreadedIntegrationTest, ActionRetriesAfterWaitDieAbort) {
   // A rule action that conflicts with a long-running older transaction
   // must retry (fresh, younger transaction each time) and eventually

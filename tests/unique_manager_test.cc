@@ -185,7 +185,6 @@ TEST_F(UniqueTxnManagerTest, SecondFiringMergesIntoQueuedTask) {
                                      OneRowSet("c1"), 0, Factory()));
   EXPECT_EQ(t2, nullptr);  // merged, nothing to submit
   EXPECT_EQ(t1->bound_tables.Find("m")->size(), 2u);
-  EXPECT_EQ(mgr_.merge_count(), 1u);
   EXPECT_EQ(mgr_.NumQueued("fn"), 1u);
 }
 
@@ -259,8 +258,6 @@ TEST_F(UniqueTxnManagerTest, ConcurrentMergesNeverLoseRows) {
     auto task = std::make_shared<TaskControlBlock>(ids.fetch_add(1));
     task->function_name = "fn";
     task->bound_tables = std::move(tables);
-    SpinLockGuard g(tasks_lock);
-    created.push_back(task);
     return task;
   };
 
@@ -292,6 +289,12 @@ TEST_F(UniqueTxnManagerTest, ConcurrentMergesNeverLoseRows) {
         auto r = mgr_.MergeOrCreate("fn", {Value::Str("k")},
                                     OneRowSet("k"), 0, factory);
         ASSERT_TRUE(r.ok());
+        // Like the rule engine's submit, a created task reaches the
+        // starter only once MergeOrCreate has finished initializing it.
+        if (*r != nullptr) {
+          SpinLockGuard g(tasks_lock);
+          created.push_back(*r);
+        }
       }
     });
   }

@@ -7,6 +7,7 @@
 
 #include "strip/common/rng.h"
 #include "strip/engine/database.h"
+#include "strip/rules/net_effect.h"
 #include "strip/viewmaint/rule_gen.h"
 #include "strip/viewmaint/view_def.h"
 #include "tests/test_util.h"
@@ -182,13 +183,12 @@ TEST_F(RuleGenTest, ProjectionViewRecomputedPerKey) {
       where base.sym = derived_keys.sym;
   )"));
   RuleGenOptions gen;
-  gen.unique = true;  // coarse batching for projection views
   gen.delay_seconds = 0.5;
   ASSERT_OK_AND_ASSIGN(GeneratedRule rule,
                        GenerateMaintenanceRule(db_, "squared", "base", gen));
   const RuleDef* def = db_.rules().FindRule(rule.rule_name);
   ASSERT_NE(def, nullptr);
-  EXPECT_TRUE(def->unique());
+  EXPECT_TRUE(def->unique());  // coarse batching for projection views
   EXPECT_TRUE(def->unique_columns().empty());
 
   // Two updates to the same stock inside the window: last one wins.
@@ -280,30 +280,46 @@ TEST_F(RuleGenTest, InsertAndDeleteEventsMaintainAggregationView) {
   EXPECT_EQ(cnt->rows[0][0].as_int(), 2);
 }
 
-TEST_F(RuleGenTest, LegacyZeroSumRowWithoutCountTracking) {
+TEST_F(RuleGenTest, GeneratorIndexesViewSoMaintenanceNeverScans) {
   ASSERT_OK(db_.ExecuteScript(R"(
     create table sales (region string, amount double);
     create index on sales (region);
-    insert into sales values ('eu', 10.0), ('us', 20.0);
+    insert into sales values ('eu', 10.0), ('us', 20.0), ('jp', 30.0);
     create materialized view rev as
       select region, sum(amount) as total from sales group by region;
   )"));
   RuleGenOptions gen;
   gen.delay_seconds = 0.5;
-  gen.track_group_count = false;  // opt out of the hidden count
   ASSERT_OK(GenerateMaintenanceRule(db_, "rev", "sales", gen).status());
-  EXPECT_FALSE(db_.views().Find("rev")->hidden_count);
+  EXPECT_NE(db_.catalog().FindTable("rev")->FindIndex("region"), nullptr);
 
-  ASSERT_OK(db_.Execute(
-      "delete from sales where region = 'us' and amount = 20.0").status());
+  // One batched window with every statement the maintainers run: a folded
+  // update pair, an upserted new group, and an emptied group (count check
+  // plus the idle sweep's erase).
+  ASSERT_OK(db_.Execute("update sales set amount += 1.0 where region = 'eu'")
+                .status());
+  ASSERT_OK(db_.Execute("update sales set amount += 2.0 where region = 'eu'")
+                .status());
+  ASSERT_OK(db_.Execute("insert into sales values ('cn', 5.0)").status());
+  ASSERT_OK(db_.Execute("delete from sales where region = 'us'").status());
   Quiesce();
 
-  // Without count tracking the emptied group keeps a zero-sum row ([CW91]).
   auto rs = db_.Execute("select region, total from rev order by region");
   ASSERT_OK(rs.status());
-  ASSERT_EQ(rs->num_rows(), 2u);
-  EXPECT_EQ(rs->rows[1][0].as_string(), "us");
-  EXPECT_NEAR(rs->rows[1][1].as_double(), 0.0, 1e-9);
+  ASSERT_EQ(rs->num_rows(), 3u);
+  EXPECT_EQ(rs->rows[0][0].as_string(), "cn");
+  EXPECT_EQ(rs->rows[1][0].as_string(), "eu");
+  EXPECT_DOUBLE_EQ(rs->rows[1][1].as_double(), 13.0);
+  EXPECT_EQ(rs->rows[2][0].as_string(), "jp");
+  MetricsRegistry& m = db_.metrics();
+  // The two 'eu' updates shared one task: four contributions, one delta.
+  EXPECT_EQ(m.counter("rules.cost.deltas_folded.maintain_rev")->Get(), 3u);
+  for (const char* fn : {"maintain_rev", "maintain_rev_ins",
+                         "maintain_rev_del"}) {
+    EXPECT_EQ(m.counter(std::string("rules.cost.rows_scanned.") + fn)->Get(),
+              0u)
+        << fn;
+  }
 }
 
 TEST_F(RuleGenTest, MultiAggregateViewWithCountMaintained) {
@@ -603,21 +619,6 @@ TEST_F(RuleGenTest, AvgViewMaintainedUnderInsertUpdateDelete) {
   EXPECT_NEAR(rs->rows[1][1].as_double(), 12.0, 1e-9);
 }
 
-TEST_F(RuleGenTest, AvgRequiresCountTracking) {
-  ASSERT_OK(db_.ExecuteScript(R"(
-    create table t (g string, v double);
-    create index on t (g);
-    create materialized view m as
-      select g, avg(v) as mean from t group by g;
-  )"));
-  // AVG maintenance divides by the hidden per-group count; without it the
-  // quotient cannot be updated incrementally.
-  RuleGenOptions gen;
-  gen.track_group_count = false;
-  EXPECT_EQ(GenerateMaintenanceRule(db_, "m", "t", gen).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 /// Delta-maintained AVG vs from-scratch recompute under randomized streams:
 /// the satellite's equivalence requirement. The quotient accumulates float
 /// error across incremental updates, so comparison is to tolerance, not
@@ -737,33 +738,6 @@ TEST_F(RuleGenTest, DimChangeFallsBackToRecomputeAndCounts) {
   EXPECT_DOUBLE_EQ(rs->rows[0][1].as_double(), 10.0 + 0.5 * 30.0);
 }
 
-TEST_F(RuleGenTest, DimFallbackCanBeDisabled) {
-  ASSERT_OK(db_.ExecuteScript(R"(
-    create table px (sym string, price double);
-    create index on px (sym);
-    create table members (grp string, sym string, w double);
-    create index on members (sym);
-    insert into px values ('s1', 10.0);
-    insert into members values ('g1', 's1', 1.0);
-    create materialized view idx as
-      select grp, sum(px.price * w) as total
-      from px, members where px.sym = members.sym group by grp;
-  )"));
-  RuleGenOptions gen;
-  gen.dim_change_fallback = false;
-  ASSERT_OK(GenerateMaintenanceRule(db_, "idx", "px", gen).status());
-  EXPECT_EQ(db_.rules().FindRule("dim_fallback_idx_members"), nullptr);
-
-  // Without the fallback a dim change leaves the view stale — the
-  // documented §3 assumption, now opt-in instead of silent.
-  ASSERT_OK(
-      db_.Execute("insert into members values ('g1', 's1', 9.0)").status());
-  Quiesce();
-  auto rs = db_.Execute("select total from idx");
-  ASSERT_OK(rs.status());
-  EXPECT_DOUBLE_EQ(rs->rows[0][0].as_double(), 10.0);  // stale
-}
-
 // ---------------------------------------------------------------------------
 // Two-tier shard export / merge (unit level; cluster_test covers the
 // cross-engine path)
@@ -827,6 +801,54 @@ TEST_F(RuleGenTest, ShardExportShipsFoldedDeltasAndMergeApplies) {
   EXPECT_DOUBLE_EQ(rs->rows[0][1].as_double(), 15.0);  // +10 insert, +5 upd
   EXPECT_EQ(rs->rows[0][2].as_int(), 1);
   // Consumed staging rows were cleaned up.
+  auto staged = merge_db.Execute("select _seq from agg_deltas");
+  ASSERT_OK(staged.status());
+  EXPECT_EQ(staged->num_rows(), 0u);
+}
+
+TEST_F(RuleGenTest, MergeKeepsInterimRowUntilInsertDeltaArrives) {
+  // Shard export windows interleave freely, so an update delta can reach
+  // the merge before the insert delta that logically precedes it. The
+  // interim row sits at count 0 with a nonzero sum; the merge erase rule
+  // (count <= 0 AND every sum exactly zero) must let it survive the idle
+  // sweep.
+  Database merge_db(LogicalTime());
+  ASSERT_OK(merge_db.ExecuteScript(
+      "create table agg (g string, s double, _count int);"));
+  MergeRuleOptions merge_opts;
+  merge_opts.delay_seconds = 0.2;
+  ASSERT_OK_AND_ASSIGN(MergeRuleSpec spec,
+                       GenerateMergeRule(merge_db, "agg", merge_opts));
+  EXPECT_NE(merge_db.catalog().FindTable("agg")->FindIndex("g"), nullptr);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<FeedImporter> staging,
+                       FeedImporter::Create(&merge_db, spec.staging_table));
+  auto stage = [&](double sum, int64_t count, int64_t seq) {
+    GroupDelta d;
+    d.key = Value::Str("a");
+    d.sums = {sum};
+    d.count = count;
+    FeedRecord rec;
+    rec.values = EncodeGroupDeltaRow(d, seq);
+    ASSERT_OK(staging->Submit(rec));
+    merge_db.simulated()->RunUntilQuiescent();
+  };
+  auto row = [&]() {
+    auto rs = merge_db.Execute("select s, _count from agg where g = 'a'");
+    EXPECT_OK(rs.status());
+    return rs.ok() ? rs->rows : std::vector<std::vector<Value>>{};
+  };
+
+  stage(3.0, 0, 1);  // the update delta, first
+  std::vector<std::vector<Value>> interim = row();
+  ASSERT_EQ(interim.size(), 1u);  // swept while idle, yet kept
+  EXPECT_DOUBLE_EQ(interim[0][0].as_double(), 3.0);
+  EXPECT_EQ(interim[0][1].as_int(), 0);
+
+  stage(5.0, 1, 2);  // its insert delta, late
+  std::vector<std::vector<Value>> final_row = row();
+  ASSERT_EQ(final_row.size(), 1u);
+  EXPECT_DOUBLE_EQ(final_row[0][0].as_double(), 8.0);
+  EXPECT_EQ(final_row[0][1].as_int(), 1);
   auto staged = merge_db.Execute("select _seq from agg_deltas");
   ASSERT_OK(staged.status());
   EXPECT_EQ(staged->num_rows(), 0u);
