@@ -5,8 +5,6 @@
 
 #include "strip/common/string_util.h"
 #include "strip/engine/database.h"
-#include "strip/sql/compiled_expr.h"
-#include "strip/sql/plan.h"
 #include "strip/storage/record.h"
 
 namespace strip {
@@ -16,21 +14,17 @@ namespace strip {
 // ---------------------------------------------------------------------------
 
 /// Everything resolved at prepare time, valid for one catalog generation.
-/// Conjunct / precompiled-map pointers borrow Expr nodes from the handle's
-/// own `stmt_`, so a plan never outlives its statement.
+/// The SELECT plan borrows Expr nodes from the handle's own `stmt_`, so a
+/// plan never outlives its statement.
 struct PreparedStatement::Plan {
   uint64_t generation = 0;
   std::vector<std::string> notes;
 
-  // --- SELECT: frozen FROM resolution + classified WHERE ----------------
-  bool select_bound = false;
-  InputSet inputs;
-  std::vector<Conjunct> conjuncts;
+  // --- SELECT: the plan over catalog tables, or the error building it ----
+  Result<SelectPlan> select = Status::InvalidArgument("not a SELECT");
   /// Lowered FROM table names; if a task's bound tables shadow any of them
-  /// at execution time, the frozen resolution would be wrong — re-resolve.
+  /// at execution time, the catalog resolution would be wrong — re-resolve.
   std::vector<std::string> from_names;
-  std::unordered_map<const Expr*, CompiledExpr> precompiled;
-  bool select_index_probe = false;
 
   // --- DML: the executor's plan, or the error building it reported ------
   Result<DmlPlan> dml =
@@ -55,30 +49,6 @@ bool IsDdlStatement(const Statement& stmt) {
          std::holds_alternative<CreateViewStmt>(stmt) ||
          std::holds_alternative<CreateRuleStmt>(stmt) ||
          std::holds_alternative<DropRuleStmt>(stmt);
-}
-
-/// Mirrors ScanInput's probe detection for introspection: would any frozen
-/// input be scanned through an index given these conjuncts?
-bool SelectWouldProbeIndex(const InputSet& inputs,
-                           const std::vector<Conjunct>& conjuncts) {
-  for (const Conjunct& c : conjuncts) {
-    if (c.referenced.size() > 1) continue;
-    const Expr* f = c.expr;
-    if (f->kind != ExprKind::kBinary || f->bin_op != BinaryOp::kEq) continue;
-    for (int side = 0; side < 2; ++side) {
-      const Expr& col_side = *f->args[static_cast<size_t>(side)];
-      const Expr& const_side = *f->args[static_cast<size_t>(1 - side)];
-      if (col_side.kind != ExprKind::kColumnRef) continue;
-      auto acc = inputs.Resolve(col_side.qualifier, col_side.column);
-      if (!acc.ok()) continue;
-      const BoundInput& in = inputs.inputs()[static_cast<size_t>(acc->input)];
-      if (in.table == nullptr) continue;
-      if (in.table->FindIndexByPosition(acc->column) == nullptr) continue;
-      if (!IsColumnFree(const_side)) continue;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -116,54 +86,23 @@ std::shared_ptr<const Plan> PreparedStatement::BuildPlan() {
   const ScalarFuncRegistry* funcs = &db_->scalar_funcs_;
 
   if (const auto* s = std::get_if<SelectStmt>(&stmt_)) {
-    // Freeze FROM against the catalog only; transition / bound tables are
-    // per-execution, so any name they could supply forces per-execution
-    // resolution.
-    auto unbound = [&](const Status& why) {
-      plan->notes.push_back(StrFormat("select: resolved per execution (%s)",
-                                      why.message().c_str()));
-      return plan;
-    };
-    if (s->from.empty()) {
-      return unbound(Status::InvalidArgument("empty FROM"));
-    }
+    // Resolve FROM against the catalog only: a task's bound tables are
+    // per-execution, and a name they supply takes the per-execution path.
     for (const TableRef& ref : s->from) {
-      std::string name = ToLower(ref.table);
-      Table* table = db_->catalog_.FindTable(name);
-      if (table == nullptr) {
-        return unbound(
-            Status::NotFound(StrFormat("no table '%s'", name.c_str())));
-      }
-      plan->from_names.push_back(std::move(name));
-      plan->inputs.Add(ref.EffectiveName(), table, nullptr);
+      plan->from_names.push_back(ToLower(ref.table));
     }
-    auto conjuncts = ClassifyConjuncts(s->where.get(), plan->inputs, nullptr);
-    if (!conjuncts.ok()) return unbound(conjuncts.status());
-    plan->conjuncts = std::move(*conjuncts);
-    plan->select_bound = true;
-    plan->select_index_probe =
-        SelectWouldProbeIndex(plan->inputs, plan->conjuncts);
-
-    // Pre-compile every expression the executor evaluates against join
-    // rows.
-    auto precompile = [&](const Expr* e) {
-      if (e == nullptr || plan->precompiled.count(e) > 0) return;
-      plan->precompiled.emplace(
-          e, CompiledExpr::Compile(*e, plan->inputs, nullptr, funcs));
-    };
-    for (const Conjunct& c : plan->conjuncts) {
-      precompile(c.expr);
-      precompile(c.lhs);
-      precompile(c.rhs);
+    plan->select = SelectPlan::Build(*s, &db_->catalog_, {}, nullptr, funcs);
+    if (plan->select.ok()) {
+      plan->notes.push_back(StrFormat(
+          "select: frozen input set (%zu inputs), %zu compiled programs, %s",
+          plan->select->inputs().inputs().size(),
+          plan->select->num_programs(),
+          plan->select->uses_index_probe() ? "index probe" : "scan"));
+    } else {
+      plan->notes.push_back(
+          StrFormat("select: resolved per execution (%s)",
+                    plan->select.status().message().c_str()));
     }
-    for (const SelectItem& item : s->items) precompile(item.expr.get());
-    for (const ExprPtr& e : s->group_by) precompile(e.get());
-    for (const OrderByItem& o : s->order_by) precompile(o.expr.get());
-    precompile(s->having.get());
-    plan->notes.push_back(StrFormat(
-        "select: frozen input set (%zu inputs), %zu compiled programs, %s",
-        plan->inputs.inputs().size(), plan->precompiled.size(),
-        plan->select_index_probe ? "index probe" : "scan"));
     return plan;
   }
 
@@ -182,8 +121,8 @@ std::shared_ptr<const Plan> PreparedStatement::BuildPlan() {
 
 namespace {
 
-/// The frozen FROM resolution assumed catalog tables; a task bound table
-/// with the same name would have taken precedence in BindFrom.
+/// The SELECT plan resolved FROM against the catalog; a task bound table
+/// with the same name takes precedence (§6.3).
 bool ShadowedByTask(const Plan& plan, TaskControlBlock* task) {
   if (task == nullptr) return false;
   for (const std::string& name : plan.from_names) {
@@ -231,12 +170,9 @@ Result<TempTable> PreparedStatement::Query(Transaction* txn,
   }
   DdlLatch::SharedGuard ddl(db_->ddl_latch_);
   std::shared_ptr<const Plan> plan = CurrentPlan();
-  if (plan->select_bound && !ShadowedByTask(*plan, task)) {
-    ExecContext ctx = db_->MakeExecContext(txn, task, &params);
-    ctx.precompiled = &plan->precompiled;
-    SqlExecutor executor(ctx);
-    return executor.ExecuteSelectBound(*s, plan->inputs, plan->conjuncts,
-                                       "_result");
+  if (plan->select.ok() && !ShadowedByTask(*plan, task)) {
+    SqlExecutor executor(db_->MakeExecContext(txn, task, &params));
+    return executor.Execute(*plan->select, {}, "_result");
   }
   return db_->Query(txn, *s, task, &params);
 }
@@ -263,7 +199,7 @@ Result<std::vector<std::string>> PreparedStatement::PlanNotes() {
 Result<bool> PreparedStatement::UsesIndexProbe() {
   DdlLatch::SharedGuard ddl(db_->ddl_latch_);
   std::shared_ptr<const Plan> plan = CurrentPlan();
-  return plan->select_index_probe ||
+  return (plan->select.ok() && plan->select->uses_index_probe()) ||
          (plan->dml.ok() && plan->dml->index != nullptr);
 }
 

@@ -26,11 +26,11 @@ class Database;
 ///   - single-table DML: the executor's DmlPlan (the Table*, the index
 ///     probe, slot-compiled SET / WHERE / VALUES programs), run by the same
 ///     SqlExecutor::ExecuteDml routine the unprepared entry points use;
-///   - SELECT whose FROM names all resolve in the catalog: the frozen
-///     InputSet, the classified conjuncts, and slot-compiled programs for
-///     every expression, fed to the executor's generic join machinery.
-///     Other SELECTs (FROM names a task's bound table) are resolved and
-///     compiled per execution.
+///   - SELECT whose FROM names all resolve in the catalog: the executor's
+///     SelectPlan (inputs, classified conjuncts, index probes, slot-compiled
+///     programs, output layout), run by the same SqlExecutor::Execute
+///     routine rule conditions use. A SELECT whose FROM names a task's
+///     bound table is planned per execution (SqlExecutor::ExecuteSelect).
 ///
 /// DDL invalidation: every execution compares the plan's catalog generation
 /// stamp against the live counter and transparently re-resolves after any

@@ -1,19 +1,23 @@
 #include "strip/rules/rule_def.h"
 
 #include "strip/common/string_util.h"
+#include "strip/rules/transition_tables.h"
 
 namespace strip {
 
 namespace {
 
 bool IsTransitionName(const std::string& name) {
-  return name == "inserted" || name == "deleted" || name == "old" ||
-         name == "new";
+  for (const char* t : kTransitionTableNames) {
+    if (name == t) return true;
+  }
+  return false;
 }
 
 }  // namespace
 
-Result<RuleDef> RuleDef::Create(CreateRuleStmt stmt, const Catalog& catalog) {
+Result<std::unique_ptr<RuleDef>> RuleDef::Create(CreateRuleStmt stmt,
+                                                 const Catalog& catalog) {
   stmt.rule_name = ToLower(stmt.rule_name);
   stmt.table = ToLower(stmt.table);
   stmt.function_name = ToLower(stmt.function_name);
@@ -115,7 +119,7 @@ Result<RuleDef> RuleDef::Create(CreateRuleStmt stmt, const Catalog& catalog) {
       }
     }
   }
-  return RuleDef(std::move(stmt));
+  return std::unique_ptr<RuleDef>(new RuleDef(std::move(stmt)));
 }
 
 std::vector<std::string> RuleDef::BoundTableNames() const {
@@ -127,6 +131,47 @@ std::vector<std::string> RuleDef::BoundTableNames() const {
     if (!rq.bind_as.empty()) out.push_back(rq.bind_as);
   }
   return out;
+}
+
+std::shared_ptr<const RuleDef::Plans> RuleDef::CurrentPlans(
+    const Catalog& catalog, const ScalarFuncRegistry* funcs) const {
+  // Read the generation before resolving: a concurrent DDL then at worst
+  // makes these plans look stale and triggers a rebuild on the next firing.
+  uint64_t gen = catalog.generation();
+  std::lock_guard<std::mutex> lk(plans_mu_);
+  if (plans_ == nullptr || plans_->generation != gen) {
+    auto plans = std::make_shared<Plans>();
+    plans->generation = gen;
+    plans->status = BuildPlans(*plans, catalog, funcs);
+    plans_ = std::move(plans);
+  }
+  return plans_;
+}
+
+Status RuleDef::BuildPlans(Plans& plans, const Catalog& catalog,
+                           const ScalarFuncRegistry* funcs) const {
+  STRIP_ASSIGN_OR_RETURN(Table * table, catalog.GetTable(stmt_.table));
+  plans.transition_schema = TransitionSchema(*table);
+  std::vector<SelectPlan::TempSource> sources;
+  for (const char* name : kTransitionTableNames) {
+    sources.push_back(SelectPlan::TempSource{name, &plans.transition_schema});
+  }
+  // Names only: the firing supplies the value.
+  static const std::map<std::string, Value> kPseudo = {
+      {kCommitTimeColumn, Value()}};
+  for (const RuleQuery& rq : stmt_.condition) {
+    STRIP_ASSIGN_OR_RETURN(
+        SelectPlan plan,
+        SelectPlan::Build(rq.query, &catalog, sources, &kPseudo, funcs));
+    plans.condition.push_back(std::move(plan));
+  }
+  for (const RuleQuery& rq : stmt_.evaluate) {
+    STRIP_ASSIGN_OR_RETURN(
+        SelectPlan plan,
+        SelectPlan::Build(rq.query, &catalog, sources, &kPseudo, funcs));
+    plans.evaluate.push_back(std::move(plan));
+  }
+  return Status::OK();
 }
 
 bool EventMatches(const RuleEvent& event, LogOp op, const Schema& schema,

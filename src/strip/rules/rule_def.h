@@ -1,19 +1,27 @@
 #ifndef STRIP_RULES_RULE_DEF_H_
 #define STRIP_RULES_RULE_DEF_H_
 
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "strip/common/clock.h"
 #include "strip/common/status.h"
 #include "strip/sql/ast.h"
+#include "strip/sql/executor.h"
 #include "strip/storage/catalog.h"
 #include "strip/txn/txn_log.h"
 
 namespace strip {
 
+/// Name of the pseudo column rule queries read the commit timestamp from
+/// (§2).
+inline constexpr char kCommitTimeColumn[] = "commit_time";
+
 /// A validated rule (Figure 2 semantics). Built from a parsed
-/// CreateRuleStmt; owns deep copies of the condition / evaluate queries.
+/// CreateRuleStmt; owns deep copies of the condition / evaluate queries and
+/// their plans.
 class RuleDef {
  public:
   /// Validates `stmt` against the catalog:
@@ -24,10 +32,11 @@ class RuleDef {
   ///  - `unique on` columns appear in the output of at least one bound
   ///    query,
   ///  - `unique on` without any bound query is rejected.
-  static Result<RuleDef> Create(CreateRuleStmt stmt, const Catalog& catalog);
+  static Result<std::unique_ptr<RuleDef>> Create(CreateRuleStmt stmt,
+                                                 const Catalog& catalog);
 
-  RuleDef(RuleDef&&) = default;
-  RuleDef& operator=(RuleDef&&) = default;
+  RuleDef(const RuleDef&) = delete;
+  RuleDef& operator=(const RuleDef&) = delete;
 
   const std::string& name() const { return stmt_.rule_name; }
   const std::string& table() const { return stmt_.table; }
@@ -51,11 +60,38 @@ class RuleDef {
   /// queries, in definition order.
   std::vector<std::string> BoundTableNames() const;
 
+  /// The condition and evaluate queries planned for one catalog
+  /// generation. FROM resolves through the transition tables —
+  /// placeholders with the rule table's TransitionSchema, bound by
+  /// position (kTransitionTableNames) at each firing — then the catalog;
+  /// `commit_time` is a pseudo column. A build error (say, a query naming
+  /// a dropped table) is kept in `status` and returned at every firing
+  /// until DDL changes the catalog.
+  struct Plans {
+    uint64_t generation = 0;
+    Schema transition_schema;  // the placeholders' schema; plans borrow it
+    Status status;
+    std::vector<SelectPlan> condition;  // parallel to condition()
+    std::vector<SelectPlan> evaluate;   // parallel to evaluate()
+  };
+
+  /// The plans for the catalog's current generation, rebuilt when DDL has
+  /// run since the last firing. Thread-safe; the caller must hold the DDL
+  /// latch (shared) while it executes them.
+  std::shared_ptr<const Plans> CurrentPlans(
+      const Catalog& catalog, const ScalarFuncRegistry* funcs) const;
+
  private:
   explicit RuleDef(CreateRuleStmt stmt) : stmt_(std::move(stmt)) {}
 
+  Status BuildPlans(Plans& plans, const Catalog& catalog,
+                    const ScalarFuncRegistry* funcs) const;
+
   CreateRuleStmt stmt_;
   bool enabled_ = true;
+
+  mutable std::mutex plans_mu_;
+  mutable std::shared_ptr<const Plans> plans_;  // null until first firing
 };
 
 /// True iff a log operation satisfies one of the rule's events.

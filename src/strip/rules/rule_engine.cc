@@ -8,11 +8,11 @@
 namespace strip {
 
 Status RuleEngine::CreateRule(CreateRuleStmt stmt) {
-  STRIP_ASSIGN_OR_RETURN(RuleDef rule,
+  STRIP_ASSIGN_OR_RETURN(std::unique_ptr<RuleDef> rule,
                          RuleDef::Create(std::move(stmt), *deps_.catalog));
-  if (FindRule(rule.name()) != nullptr) {
+  if (FindRule(rule->name()) != nullptr) {
     return Status::AlreadyExists(
-        StrFormat("rule '%s' already exists", rule.name().c_str()));
+        StrFormat("rule '%s' already exists", rule->name().c_str()));
   }
 
   // Rules executing the same user function must define their bound tables
@@ -27,31 +27,34 @@ Status RuleEngine::CreateRule(CreateRuleStmt stmt) {
     }
     return out;
   };
-  auto mine = bindings_of(rule);
-  for (const auto& existing : rules_) {
-    if (existing->function_name() != rule.function_name()) continue;
-    if (bindings_of(*existing) != mine) {
+  auto mine = bindings_of(*rule);
+  for (const Rule& existing : rules_) {
+    if (existing.def->function_name() != rule->function_name()) continue;
+    if (bindings_of(*existing.def) != mine) {
       return Status::InvalidArgument(StrFormat(
           "rule '%s': bound tables differ from rule '%s' executing the same "
           "function '%s' (bound tables of rules sharing a function must be "
           "defined identically, §2)",
-          rule.name().c_str(), existing->name().c_str(),
-          rule.function_name().c_str()));
+          rule->name().c_str(), existing.def->name().c_str(),
+          rule->function_name().c_str()));
     }
   }
 
   // The paper creates the unique hash table when the first rule executing
   // the transaction is defined (§6.3).
-  if (rule.unique()) unique_.EnsureFunction(rule.function_name());
-
-  rules_.push_back(std::make_unique<RuleDef>(std::move(rule)));
+  Rule entry;
+  if (rule->unique()) {
+    entry.queue = unique_.EnsureFunction(rule->function_name());
+  }
+  entry.def = std::move(rule);
+  rules_.push_back(std::move(entry));
   return Status::OK();
 }
 
 Status RuleEngine::DropRule(const std::string& name) {
   std::string key = ToLower(name);
   for (auto it = rules_.begin(); it != rules_.end(); ++it) {
-    if ((*it)->name() == key) {
+    if (it->def->name() == key) {
       rules_.erase(it);
       return Status::OK();
     }
@@ -61,9 +64,9 @@ Status RuleEngine::DropRule(const std::string& name) {
 
 Status RuleEngine::SetRuleEnabled(const std::string& name, bool enabled) {
   std::string key = ToLower(name);
-  for (auto& r : rules_) {
-    if (r->name() == key) {
-      r->set_enabled(enabled);
+  for (Rule& r : rules_) {
+    if (r.def->name() == key) {
+      r.def->set_enabled(enabled);
       return Status::OK();
     }
   }
@@ -72,8 +75,8 @@ Status RuleEngine::SetRuleEnabled(const std::string& name, bool enabled) {
 
 const RuleDef* RuleEngine::FindRule(const std::string& name) const {
   std::string key = ToLower(name);
-  for (const auto& r : rules_) {
-    if (r->name() == key) return r.get();
+  for (const Rule& r : rules_) {
+    if (r.def->name() == key) return r.def.get();
   }
   return nullptr;
 }
@@ -81,7 +84,7 @@ const RuleDef* RuleEngine::FindRule(const std::string& name) const {
 std::vector<std::string> RuleEngine::ListRules() const {
   std::vector<std::string> out;
   out.reserve(rules_.size());
-  for (const auto& r : rules_) out.push_back(r->name());
+  for (const Rule& r : rules_) out.push_back(r.def->name());
   return out;
 }
 
@@ -105,83 +108,89 @@ TaskPtr RuleEngine::NewActionTask(const RuleDef& rule, Timestamp commit_time,
   return task;
 }
 
-Status RuleEngine::FireRule(const RuleDef& rule, Transaction* txn,
-                            Timestamp commit_time,
-                            const BoundTableSet& transition,
-                            std::vector<TaskPtr>& out) {
+Result<std::optional<RuleEngine::Firing>> RuleEngine::Evaluate(
+    const Rule& rule, Transaction* txn,
+    const std::vector<const TempTable*>& transition,
+    const std::map<std::string, Value>& pseudo) {
+  const RuleDef& def = *rule.def;
   stats_.rules_triggered.fetch_add(1, std::memory_order_relaxed);
-
-  std::map<std::string, Value> pseudo;
-  pseudo.emplace("commit_time", Value::Int(commit_time));
+  std::shared_ptr<const RuleDef::Plans> plans =
+      def.CurrentPlans(*deps_.catalog, deps_.scalar_funcs);
+  STRIP_RETURN_IF_ERROR(plans->status);
 
   ExecContext ctx;
   ctx.catalog = deps_.catalog;
   ctx.locks = deps_.locks;
   ctx.txn = txn;
-  ctx.transition = &transition;
   ctx.funcs = deps_.scalar_funcs;
   ctx.pseudo = &pseudo;
   SqlExecutor executor(ctx);
 
-  BoundTableSet bound;
-
+  Firing firing;
+  firing.rule = &rule;
   // Condition: every query must return at least one row (§2).
-  for (const RuleQuery& rq : rule.condition()) {
-    std::string name = rq.bind_as.empty() ? "_cond" : rq.bind_as;
-    STRIP_ASSIGN_OR_RETURN(TempTable result,
-                           executor.ExecuteSelect(rq.query, name));
-    if (result.size() == 0) return Status::OK();  // condition false
+  for (size_t i = 0; i < def.condition().size(); ++i) {
+    const RuleQuery& rq = def.condition()[i];
+    STRIP_ASSIGN_OR_RETURN(
+        TempTable result,
+        executor.Execute(plans->condition[i], transition,
+                         rq.bind_as.empty() ? "_cond" : rq.bind_as));
+    if (result.size() == 0) return std::optional<Firing>();
     if (!rq.bind_as.empty()) {
-      STRIP_RETURN_IF_ERROR(bound.Add(std::move(result)));
+      STRIP_RETURN_IF_ERROR(firing.bound.Add(std::move(result)));
     }
   }
   stats_.conditions_true.fetch_add(1, std::memory_order_relaxed);
 
   // Evaluate clause: computed only when the condition holds; purely for
   // passing data to the action (§2).
-  for (const RuleQuery& rq : rule.evaluate()) {
-    std::string name = rq.bind_as.empty() ? "_eval" : rq.bind_as;
-    STRIP_ASSIGN_OR_RETURN(TempTable result,
-                           executor.ExecuteSelect(rq.query, name));
-    if (!rq.bind_as.empty()) {
-      STRIP_RETURN_IF_ERROR(bound.Add(std::move(result)));
-    }
-  }
-
-  const Timestamp change_time = txn->arrival_time();
-  if (!rule.unique()) {
-    out.push_back(NewActionTask(rule, commit_time, change_time, txn->trace(),
-                                std::move(bound)));
-    return Status::OK();
-  }
-
-  // Unique transaction path: partition by the unique columns (Appendix A),
-  // then merge into queued tasks or create new ones (§6.3).
-  STRIP_ASSIGN_OR_RETURN(
-      auto partitions,
-      PartitionByUniqueColumns(std::move(bound), rule.unique_columns()));
-  for (auto& [key, tables] : partitions) {
+  for (size_t i = 0; i < def.evaluate().size(); ++i) {
+    const RuleQuery& rq = def.evaluate()[i];
     STRIP_ASSIGN_OR_RETURN(
-        TaskPtr created,
-        unique_.MergeOrCreate(
-            rule.function_name(), key, std::move(tables), change_time,
-            txn->trace().trace_id,
-            [&](const std::vector<Value>&, BoundTableSet&& t) {
-              return NewActionTask(rule, commit_time, change_time,
-                                   txn->trace(), std::move(t));
-            }));
-    if (created != nullptr) {
-      out.push_back(std::move(created));
-      continue;
-    }
-    stats_.firings_merged.fetch_add(1, std::memory_order_relaxed);
-    if (deps_.trace != nullptr) {
-      deps_.trace->Record(TraceEventKind::kMerge, txn->id(), commit_time,
-                          rule.function_name().c_str(),
-                          txn->trace().trace_id);
+        TempTable result,
+        executor.Execute(plans->evaluate[i], transition,
+                         rq.bind_as.empty() ? "_eval" : rq.bind_as));
+    if (!rq.bind_as.empty()) {
+      STRIP_RETURN_IF_ERROR(firing.bound.Add(std::move(result)));
     }
   }
-  return Status::OK();
+
+  // Unique transaction path: partition by the unique columns (Appendix A)
+  // and make sure every key's rows can join its queued task (§6.3).
+  if (def.unique()) {
+    STRIP_ASSIGN_OR_RETURN(
+        firing.parts,
+        PartitionByUniqueColumns(firing.bound, def.unique_columns()));
+    STRIP_RETURN_IF_ERROR(
+        unique_.CheckMergeable(rule.queue, firing.bound, firing.parts));
+  }
+  return std::optional<Firing>(std::move(firing));
+}
+
+void RuleEngine::Dispatch(Firing&& firing, Transaction* txn,
+                          Timestamp commit_time, std::vector<TaskPtr>& out) {
+  const RuleDef& def = *firing.rule->def;
+  const Timestamp change_time = txn->arrival_time();
+  if (!def.unique()) {
+    out.push_back(NewActionTask(def, commit_time, change_time, txn->trace(),
+                                std::move(firing.bound)));
+    return;
+  }
+  // Merge each key's rows into its queued task or create one (§6.3).
+  size_t merged = unique_.MergeFiring(
+      firing.rule->queue, std::move(firing.bound), firing.parts, change_time,
+      txn->trace().trace_id,
+      [&](const std::vector<Value>&, BoundTableSet&& tables) {
+        return NewActionTask(def, commit_time, change_time, txn->trace(),
+                             std::move(tables));
+      },
+      out);
+  stats_.firings_merged.fetch_add(merged, std::memory_order_relaxed);
+  if (deps_.trace == nullptr) return;
+  for (size_t i = 0; i < merged; ++i) {
+    deps_.trace->Record(TraceEventKind::kMerge, txn->id(), commit_time,
+                        def.function_name().c_str(), txn->trace().trace_id);
+  }
 }
 
 Result<std::vector<TaskPtr>> RuleEngine::ProcessCommit(
@@ -191,18 +200,29 @@ Result<std::vector<TaskPtr>> RuleEngine::ProcessCommit(
   if (log.empty() || rules_.empty()) return out;
   stats_.commits_checked.fetch_add(1, std::memory_order_relaxed);
 
-  // Transition tables are built per touched table, shared by its rules.
-  std::map<const Table*, BoundTableSet> transitions;
+  // Transition tables are built per touched table and shared by its
+  // rules, whose plans bind them by position.
+  struct Transition {
+    BoundTableSet tables;
+    std::vector<const TempTable*> bound;
+  };
+  std::map<const Table*, Transition> transitions;
+  const std::map<std::string, Value> pseudo = {
+      {kCommitTimeColumn, Value::Int(commit_time)}};
 
-  for (const auto& rule : rules_) {
-    if (!rule->enabled()) continue;
-    Table* table = deps_.catalog->FindTable(rule->table());
+  // Phase one: evaluate every triggered rule; any failure aborts the
+  // commit before a single firing has touched the queued tasks.
+  std::vector<Firing> firings;
+  for (const Rule& rule : rules_) {
+    const RuleDef& def = *rule.def;
+    if (!def.enabled()) continue;
+    Table* table = deps_.catalog->FindTable(def.table());
     if (table == nullptr) continue;  // table dropped after rule creation
 
     bool triggered = false;
     for (const LogEntry& e : log.entries()) {
       if (e.table != table) continue;
-      for (const RuleEvent& ev : rule->events()) {
+      for (const RuleEvent& ev : def.events()) {
         if (EventMatches(ev, e.op, table->schema(), e.old_rec, e.new_rec)) {
           triggered = true;
           break;
@@ -212,14 +232,21 @@ Result<std::vector<TaskPtr>> RuleEngine::ProcessCommit(
     }
     if (!triggered) continue;
 
-    auto it = transitions.find(table);
-    if (it == transitions.end()) {
-      it = transitions
-               .emplace(table, BuildTransitionTables(*table, log))
-               .first;
+    auto [it, built] = transitions.try_emplace(table);
+    if (built) {
+      it->second.tables = BuildTransitionTables(*table, log);
+      for (const TempTable& t : it->second.tables.tables()) {
+        it->second.bound.push_back(&t);
+      }
     }
-    STRIP_RETURN_IF_ERROR(
-        FireRule(*rule, txn, commit_time, it->second, out));
+    STRIP_ASSIGN_OR_RETURN(std::optional<Firing> firing,
+                           Evaluate(rule, txn, it->second.bound, pseudo));
+    if (firing.has_value()) firings.push_back(std::move(*firing));
+  }
+
+  // Phase two: merge or create, in rule order; nothing here can fail.
+  for (Firing& firing : firings) {
+    Dispatch(std::move(firing), txn, commit_time, out);
   }
   return out;
 }

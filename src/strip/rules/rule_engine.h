@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,11 @@ class RuleEngine {
   /// pseudo-columns and anchors delay windows. Returns the new tasks the
   /// caller must submit to the executor once the commit is durable;
   /// firings merged into already-queued unique tasks return no task.
+  ///
+  /// Runs in two phases: every step that can fail (conditions, evaluate
+  /// queries, partitioning, the merge layout check) runs for all triggered
+  /// rules before the first merge, so a failed commit leaves no trace in
+  /// the queued unique tasks. The caller must hold the DDL latch (shared).
   Result<std::vector<TaskPtr>> ProcessCommit(Transaction* txn,
                                              Timestamp commit_time);
 
@@ -83,11 +89,35 @@ class RuleEngine {
   const RuleStats& stats() const { return stats_; }
 
  private:
-  /// Runs one rule against a committing transaction; appends any created
-  /// tasks to `out`.
-  Status FireRule(const RuleDef& rule, Transaction* txn,
-                  Timestamp commit_time, const BoundTableSet& transition,
-                  std::vector<TaskPtr>& out);
+  /// A registered rule and, for a unique rule, its function's queue of
+  /// queued tasks (resolved once, when the rule is created).
+  struct Rule {
+    std::unique_ptr<RuleDef> def;
+    UniqueTxnManager::FunctionQueue* queue = nullptr;
+  };
+
+  /// The outcome of a rule whose condition held: its bound tables and,
+  /// for a unique rule, their partition by unique key.
+  struct Firing {
+    const Rule* rule = nullptr;
+    BoundTableSet bound;
+    UniquePartition parts;
+  };
+
+  /// Phase one of a firing — everything that can fail: runs the rule's
+  /// condition and evaluate plans against the commit's transition tables
+  /// (`transition`, bound by position) and, for a unique rule, partitions
+  /// the bound tables and checks them against the queued tasks. Returns
+  /// nullopt when the condition is false.
+  Result<std::optional<Firing>> Evaluate(
+      const Rule& rule, Transaction* txn,
+      const std::vector<const TempTable*>& transition,
+      const std::map<std::string, Value>& pseudo);
+
+  /// Phase two, which cannot fail: merges the firing into queued unique
+  /// tasks or creates its tasks, appending created tasks to `out`.
+  void Dispatch(Firing&& firing, Transaction* txn, Timestamp commit_time,
+                std::vector<TaskPtr>& out);
 
   /// `change_time` is the triggering transaction's data arrival time; it
   /// seeds the task's staleness stamps. The task runs as a child span of
@@ -100,7 +130,7 @@ class RuleEngine {
   RuleEngineDeps deps_;
   // Definition order matters for deterministic processing; the paper notes
   // rule consideration order is semantically unimportant (§2).
-  std::vector<std::unique_ptr<RuleDef>> rules_;
+  std::vector<Rule> rules_;
   UniqueTxnManager unique_;
   RuleStats stats_;
 };

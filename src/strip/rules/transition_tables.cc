@@ -37,10 +37,10 @@ void AppendTransitionRow(TempTable& t, const RecordRef& rec,
 }  // namespace
 
 BoundTableSet BuildTransitionTables(const Table& table, const TxnLog& log) {
-  TempTable inserted = MakeTransitionTable("inserted", table);
-  TempTable deleted = MakeTransitionTable("deleted", table);
-  TempTable old_t = MakeTransitionTable("old", table);
-  TempTable new_t = MakeTransitionTable("new", table);
+  TempTable inserted = MakeTransitionTable(kTransitionTableNames[0], table);
+  TempTable deleted = MakeTransitionTable(kTransitionTableNames[1], table);
+  TempTable old_t = MakeTransitionTable(kTransitionTableNames[2], table);
+  TempTable new_t = MakeTransitionTable(kTransitionTableNames[3], table);
 
   // Size the tables up front: big batched transactions (a delay window's
   // worth of merged changes) would otherwise regrow each vector log(n)

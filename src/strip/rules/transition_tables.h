@@ -1,6 +1,8 @@
 #ifndef STRIP_RULES_TRANSITION_TABLES_H_
 #define STRIP_RULES_TRANSITION_TABLES_H_
 
+#include <array>
+
 #include "strip/storage/bound_table_set.h"
 #include "strip/storage/table.h"
 #include "strip/txn/txn_log.h"
@@ -10,8 +12,13 @@ namespace strip {
 /// Name of the sequence column the system appends to transition tables (§2).
 inline constexpr char kExecuteOrderColumn[] = "execute_order";
 
-/// Builds the four transition tables — `inserted`, `deleted`, `old`, `new`
-/// — for `table` from a transaction's log (§2, §6.3).
+/// The transition tables, in the order BuildTransitionTables returns them:
+/// rule plans bind a commit's transition tables by these positions.
+inline constexpr std::array<const char*, 4> kTransitionTableNames = {
+    "inserted", "deleted", "old", "new"};
+
+/// Builds the four transition tables — `inserted`, `deleted`, `old`, `new`,
+/// in that order — for `table` from a transaction's log (§2, §6.3).
 ///
 /// Each transition table has the base table's columns (pointer-backed, one
 /// slot per tuple) plus the materialized `execute_order` column sequencing

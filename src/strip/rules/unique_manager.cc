@@ -2,18 +2,15 @@
 
 #include <algorithm>
 
+#include "strip/common/logging.h"
 #include "strip/common/string_util.h"
 
 namespace strip {
 
-Result<std::vector<std::pair<std::vector<Value>, BoundTableSet>>>
-PartitionByUniqueColumns(BoundTableSet&& tables,
-                         const std::vector<std::string>& unique_columns) {
-  std::vector<std::pair<std::vector<Value>, BoundTableSet>> out;
-  if (unique_columns.empty()) {
-    out.emplace_back(std::vector<Value>{}, std::move(tables));
-    return out;
-  }
+Result<UniquePartition> PartitionByUniqueColumns(
+    const BoundTableSet& tables,
+    const std::vector<std::string>& unique_columns) {
+  const size_t num_tables = tables.tables().size();
 
   // Locate each unique column: (table index, column index). Appendix A
   // assumes column names are unique across the rule's bound tables.
@@ -23,7 +20,7 @@ PartitionByUniqueColumns(BoundTableSet&& tables,
   };
   std::vector<ColumnHome> homes(unique_columns.size());
   for (size_t u = 0; u < unique_columns.size(); ++u) {
-    for (size_t t = 0; t < tables.tables().size(); ++t) {
+    for (size_t t = 0; t < num_tables; ++t) {
       int c = tables.tables()[t].schema().FindColumn(unique_columns[u]);
       if (c < 0) continue;
       if (homes[u].table >= 0) {
@@ -40,124 +37,125 @@ PartitionByUniqueColumns(BoundTableSet&& tables,
     }
   }
 
-  // T^u = tables holding at least one unique column.
-  std::vector<bool> is_unique_table(tables.tables().size(), false);
-  for (const ColumnHome& h : homes) {
-    is_unique_table[static_cast<size_t>(h.table)] = true;
-  }
-
-  // Partition each T^u table by its own unique columns; the global key is
-  // the concatenation in unique_columns order, and the key set is the
-  // cross product of the per-table key sets (equivalent to projecting the
-  // product relation B of Appendix A).
-  struct TablePartitions {
-    // distinct per-table keys, each with the tuple indexes carrying it
-    std::vector<std::vector<Value>> keys;
-    std::vector<std::vector<size_t>> tuple_indexes;
-  };
-  std::vector<TablePartitions> parts(tables.tables().size());
-  for (size_t t = 0; t < tables.tables().size(); ++t) {
-    if (!is_unique_table[t]) continue;
+  // Group each table's rows: T^u tables (holding unique columns) by the
+  // values of their own unique columns; T^a tables into one group of
+  // every row.
+  UniquePartition out;
+  out.groups.resize(num_tables);
+  for (size_t t = 0; t < num_tables; ++t) {
     const TempTable& table = tables.tables()[t];
+    std::vector<int> key_columns;
+    for (const ColumnHome& h : homes) {
+      if (h.table == static_cast<int>(t)) key_columns.push_back(h.column);
+    }
+    std::vector<std::vector<uint32_t>>& groups = out.groups[t];
+    if (key_columns.empty()) {
+      groups.emplace_back(table.size());
+      for (size_t row = 0; row < table.size(); ++row) {
+        groups[0][row] = static_cast<uint32_t>(row);
+      }
+      continue;
+    }
     std::unordered_map<std::vector<Value>, size_t, ValueVectorHash,
                        ValueVectorEq>
-        index_of;
+        group_of;
+    std::vector<Value> key;
     for (size_t row = 0; row < table.size(); ++row) {
-      std::vector<Value> key;
-      for (size_t u = 0; u < homes.size(); ++u) {
-        if (homes[u].table != static_cast<int>(t)) continue;
-        key.push_back(table.Get(row, homes[u].column));
-      }
-      auto [it, inserted] = index_of.try_emplace(key, parts[t].keys.size());
-      if (inserted) {
-        parts[t].keys.push_back(key);
-        parts[t].tuple_indexes.emplace_back();
-      }
-      parts[t].tuple_indexes[it->second].push_back(row);
+      key.clear();
+      for (int c : key_columns) key.push_back(table.Get(row, c));
+      auto [it, inserted] = group_of.try_emplace(key, groups.size());
+      if (inserted) groups.emplace_back();
+      groups[it->second].push_back(static_cast<uint32_t>(row));
     }
+    // No key combinations when a T^u table is empty: no triggered
+    // transactions.
+    if (groups.empty()) return out;
   }
 
-  // Enumerate the cross product of per-table key sets.
-  std::vector<size_t> unique_tables;
-  for (size_t t = 0; t < tables.tables().size(); ++t) {
-    if (is_unique_table[t]) unique_tables.push_back(t);
+  // Enumerate the cross product of the per-table groups.
+  out.last_key.resize(num_tables);
+  for (size_t t = 0; t < num_tables; ++t) {
+    out.last_key[t].assign(out.groups[t].size(), 0);
   }
-  // If any T^u table is empty there are no key combinations, hence no
-  // triggered transactions.
-  for (size_t t : unique_tables) {
-    if (parts[t].keys.empty()) return out;
-  }
-
-  std::vector<size_t> choice(unique_tables.size(), 0);
+  std::vector<uint32_t> choice(num_tables, 0);
   for (;;) {
-    // Assemble the global key in unique_columns order.
-    std::vector<Value> key(homes.size());
+    UniquePartition::Key key;
+    key.group = choice;
+    key.values.resize(homes.size());
     for (size_t u = 0; u < homes.size(); ++u) {
-      size_t t = static_cast<size_t>(homes[u].table);
-      size_t which = 0;
-      for (size_t i = 0; i < unique_tables.size(); ++i) {
-        if (unique_tables[i] == t) which = i;
-      }
-      // Position of column u within table t's per-table key vector:
-      // per-table keys were built in unique_columns order restricted to t.
-      size_t pos = 0;
-      for (size_t v = 0; v < u; ++v) {
-        if (homes[v].table == homes[u].table) ++pos;
-      }
-      key[u] = parts[t].keys[choice[which]][pos];
+      // Every row of a group carries its key: read it off the first.
+      const size_t t = static_cast<size_t>(homes[u].table);
+      const uint32_t row = out.groups[t][choice[t]][0];
+      key.values[u] = tables.tables()[t].Get(row, homes[u].column);
     }
+    for (size_t t = 0; t < num_tables; ++t) {
+      out.last_key[t][choice[t]] = static_cast<uint32_t>(out.keys.size());
+    }
+    out.keys.push_back(std::move(key));
 
-    // Build this partition's bound tables.
-    BoundTableSet partition;
-    for (size_t t = 0; t < tables.tables().size(); ++t) {
-      const TempTable& src = tables.tables()[t];
-      TempTable dst(src.name(), src.schema(), src.column_map(),
-                    src.num_slots(), src.num_extra());
-      if (is_unique_table[t]) {
-        size_t which = 0;
-        for (size_t i = 0; i < unique_tables.size(); ++i) {
-          if (unique_tables[i] == t) which = i;
-        }
-        for (size_t row : parts[t].tuple_indexes[choice[which]]) {
-          dst.Append(src.tuples()[row]);
-        }
-      } else {
-        // Tables without unique columns are passed whole (Appendix A).
-        for (const TempTuple& tup : src.tuples()) dst.Append(tup);
-      }
-      STRIP_RETURN_IF_ERROR(partition.Add(std::move(dst)));
+    // Advance the cross-product counter (T^a tables have one group).
+    size_t t = 0;
+    for (; t < num_tables; ++t) {
+      if (++choice[t] < out.groups[t].size()) break;
+      choice[t] = 0;
     }
-    out.emplace_back(std::move(key), std::move(partition));
-
-    // Advance the cross-product counter.
-    size_t i = 0;
-    for (; i < unique_tables.size(); ++i) {
-      if (++choice[i] < parts[unique_tables[i]].keys.size()) break;
-      choice[i] = 0;
-    }
-    if (i == unique_tables.size()) break;
+    if (t == num_tables) break;
   }
   return out;
 }
+
+namespace {
+
+/// The table of a queued task's bound set that receives the firing's
+/// table `t`: the same name, at the same position when the rules sharing
+/// the function list their bound tables in the same order.
+TempTable* TargetOf(BoundTableSet& queued, size_t t, const TempTable& src) {
+  std::vector<TempTable>& tables = queued.tables();
+  if (t < tables.size() && tables[t].name() == src.name()) return &tables[t];
+  return queued.FindMutable(src.name());
+}
+
+/// True when every table of `firing` can be appended to `queued` as is.
+bool Mergeable(BoundTableSet& queued, const BoundTableSet& firing) {
+  if (queued.size() != firing.size()) return false;
+  for (size_t t = 0; t < firing.size(); ++t) {
+    const TempTable& src = firing.tables()[t];
+    const TempTable* dst = TargetOf(queued, t, src);
+    if (dst == nullptr || !dst->SameLayout(src)) return false;
+  }
+  return true;
+}
+
+/// Appends key `k`'s rows of `src` (table `t` of the firing) to `dst`:
+/// moved when `k` is the last key receiving them, copied otherwise.
+void AppendRows(TempTable& dst, TempTable& src, const UniquePartition& parts,
+                size_t k, size_t t) {
+  const std::vector<uint32_t>& rows = parts.Rows(k, t);
+  const bool last = parts.last_key[t][parts.keys[k].group[t]] == k;
+  std::vector<TempTuple>& from = src.tuples();
+  std::vector<TempTuple>& to = dst.tuples();
+  for (uint32_t row : rows) {
+    if (last) {
+      to.push_back(std::move(from[row]));
+    } else {
+      to.push_back(from[row]);
+    }
+  }
+}
+
+}  // namespace
 
 size_t UniqueTxnManager::StripeOf(const std::string& function_name) {
   return std::hash<std::string>()(function_name) % kNumStripes;
 }
 
-UniqueTxnManager::FuncTable* UniqueTxnManager::GetOrCreate(
+UniqueTxnManager::FunctionQueue* UniqueTxnManager::Find(
     const std::string& function_name) {
-  Stripe& stripe = stripes_[StripeOf(function_name)];
-  SpinLockGuard g(stripe.lock);
-  return &stripe.tables.try_emplace(function_name).first->second;
-}
-
-UniqueTxnManager::FuncTable* UniqueTxnManager::Find(
-    const std::string& function_name) {
-  return const_cast<FuncTable*>(
+  return const_cast<FunctionQueue*>(
       static_cast<const UniqueTxnManager*>(this)->Find(function_name));
 }
 
-const UniqueTxnManager::FuncTable* UniqueTxnManager::Find(
+const UniqueTxnManager::FunctionQueue* UniqueTxnManager::Find(
     const std::string& function_name) const {
   const Stripe& stripe = stripes_[StripeOf(function_name)];
   SpinLockGuard g(stripe.lock);
@@ -165,52 +163,101 @@ const UniqueTxnManager::FuncTable* UniqueTxnManager::Find(
   return it == stripe.tables.end() ? nullptr : &it->second;
 }
 
-void UniqueTxnManager::EnsureFunction(const std::string& function_name) {
-  GetOrCreate(ToLower(function_name));
+UniqueTxnManager::FunctionQueue* UniqueTxnManager::EnsureFunction(
+    const std::string& function_name) {
+  std::string name = ToLower(function_name);
+  Stripe& stripe = stripes_[StripeOf(name)];
+  SpinLockGuard g(stripe.lock);
+  return &stripe.tables.try_emplace(std::move(name)).first->second;
 }
 
-Result<TaskPtr> UniqueTxnManager::MergeOrCreate(
-    const std::string& function_name, const std::vector<Value>& key,
-    BoundTableSet&& tables, Timestamp change_time,
-    uint64_t parent_trace_id, const TaskFactory& factory) {
-  FuncTable* ft = GetOrCreate(function_name);
-  SpinLockGuard g(ft->lock);
-  auto it = ft->queued.find(key);
-  if (it != ft->queued.end()) {
-    TaskPtr queued = it->second;
-    SpinLockGuard tg(queued->merge_lock);
-    if (!queued->started) {
-      STRIP_RETURN_IF_ERROR(
-          queued->bound_tables.MergeFrom(std::move(tables)));
-      if (queued->oldest_change_time < 0 ||
-          change_time < queued->oldest_change_time) {
-        queued->oldest_change_time = change_time;
-      }
-      if (change_time > queued->newest_change_time) {
-        queued->newest_change_time = change_time;
-      }
-      ++queued->batched_firings;
-      if (parent_trace_id != 0) {
-        queued->merged_parent_traces.push_back(parent_trace_id);
-      }
-      return TaskPtr(nullptr);  // merged; nothing to submit
+Status UniqueTxnManager::CheckMergeable(const FunctionQueue* queue,
+                                        const BoundTableSet& tables,
+                                        const UniquePartition& parts) const {
+  SpinLockGuard g(queue->lock);
+  for (const UniquePartition::Key& key : parts.keys) {
+    auto it = queue->queued.find(key.values);
+    if (it == queue->queued.end()) continue;
+    TaskControlBlock& queued = *it->second;
+    SpinLockGuard tg(queued.merge_lock);
+    if (!queued.started && !Mergeable(queued.bound_tables, tables)) {
+      return Status::Internal(StrFormat(
+          "bound-table merge layout mismatch for function '%s'",
+          queued.function_name.c_str()));
     }
-    // The queued task began running: its bound tables are fixed (§2).
-    // Fall through to replace the entry with a fresh task.
   }
-  TaskPtr fresh = factory(key, std::move(tables));
-  fresh->is_unique = true;
-  fresh->unique_key = key;
-  ft->queued[key] = fresh;
-  return fresh;
+  return Status::OK();
+}
+
+size_t UniqueTxnManager::MergeFiring(FunctionQueue* queue,
+                                     BoundTableSet&& tables,
+                                     const UniquePartition& parts,
+                                     Timestamp change_time,
+                                     uint64_t parent_trace_id,
+                                     const TaskFactory& factory,
+                                     std::vector<TaskPtr>& created) {
+  size_t merged = 0;
+  SpinLockGuard g(queue->lock);
+  for (size_t k = 0; k < parts.keys.size(); ++k) {
+    const std::vector<Value>& key = parts.keys[k].values;
+    auto it = queue->queued.find(key);
+    if (it != queue->queued.end()) {
+      TaskControlBlock& queued = *it->second;
+      SpinLockGuard tg(queued.merge_lock);
+      // A started task's bound tables are fixed (§2): replace its entry
+      // with a fresh task below.
+      if (!queued.started && Mergeable(queued.bound_tables, tables)) {
+        for (size_t t = 0; t < tables.size(); ++t) {
+          TempTable& src = tables.tables()[t];
+          AppendRows(*TargetOf(queued.bound_tables, t, src), src, parts, k,
+                     t);
+        }
+        if (queued.oldest_change_time < 0 ||
+            change_time < queued.oldest_change_time) {
+          queued.oldest_change_time = change_time;
+        }
+        if (change_time > queued.newest_change_time) {
+          queued.newest_change_time = change_time;
+        }
+        ++queued.batched_firings;
+        if (parent_trace_id != 0) {
+          queued.merged_parent_traces.push_back(parent_trace_id);
+        }
+        ++merged;
+        continue;
+      }
+    }
+    // A single key receives every row: hand it the firing's tables whole.
+    BoundTableSet own;
+    if (parts.keys.size() == 1) {
+      own = std::move(tables);
+    } else {
+      for (size_t t = 0; t < tables.size(); ++t) {
+        TempTable& src = tables.tables()[t];
+        TempTable dst(src.name(), src.schema(), src.column_map(),
+                      src.num_slots(), src.num_extra());
+        dst.Reserve(parts.Rows(k, t).size());
+        AppendRows(dst, src, parts, k, t);
+        Status st = own.Add(std::move(dst));
+        STRIP_CHECK(st.ok());  // names were distinct in the firing
+      }
+    }
+    TaskPtr fresh = factory(key, std::move(own));
+    fresh->is_unique = true;
+    fresh->unique_key = key;
+    queue->queued[key] = fresh;
+    created.push_back(std::move(fresh));
+  }
+  return merged;
 }
 
 void UniqueTxnManager::OnTaskStart(const TaskControlBlock& task) {
   if (!task.is_unique) return;
-  // A unique task always has its function table (created by MergeOrCreate
-  // or EnsureFunction); look it up without mutating the directory so the
-  // task-start release path stays read-only on the stripe.
-  FuncTable* ft = Find(task.function_name);
+  // A unique task always has its function table (created by
+  // EnsureFunction when its rule was defined); look it up without mutating
+  // the directory so the task-start release path stays read-only on the
+  // stripe.
+  FunctionQueue* ft = Find(task.function_name);
   if (ft == nullptr) return;
   SpinLockGuard g(ft->lock);
   auto it = ft->queued.find(task.unique_key);
@@ -220,7 +267,7 @@ void UniqueTxnManager::OnTaskStart(const TaskControlBlock& task) {
 }
 
 size_t UniqueTxnManager::NumQueued(const std::string& function_name) const {
-  const FuncTable* ft = Find(ToLower(function_name));
+  const FunctionQueue* ft = Find(ToLower(function_name));
   if (ft == nullptr) return 0;
   SpinLockGuard g(ft->lock);
   return ft->queued.size();
@@ -232,9 +279,9 @@ UniqueTxnManager::SnapshotQueued() const {
   for (const Stripe& stripe : stripes_) {
     SpinLockGuard sg(stripe.lock);
     for (const auto& [name, ft] : stripe.tables) {
-      // Stripe lock -> FuncTable lock is safe: no path takes them in the
-      // reverse order (MergeOrCreate releases the stripe before locking
-      // the function table, but never re-enters the stripe under it).
+      // Stripe lock -> function-table lock is safe: no path takes them in
+      // the reverse order (merges and task starts release the stripe
+      // before locking the function table and never re-enter it).
       SpinLockGuard fg(ft.lock);
       for (const auto& [key, task] : ft.queued) {
         out.emplace_back(name, task);

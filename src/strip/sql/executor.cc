@@ -132,44 +132,243 @@ struct AggState {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Binding and scans
+// SELECT planning
 // ---------------------------------------------------------------------------
 
-void SqlExecutor::Trace(const std::string& line) {
-  if (ctx_.plan_trace != nullptr) ctx_.plan_trace->push_back(line);
-}
-
-Result<InputSet> SqlExecutor::BindFrom(const std::vector<TableRef>& from) {
-  InputSet inputs;
-  if (from.empty()) {
+Result<SelectPlan> SelectPlan::Build(
+    const SelectStmt& stmt, const Catalog* catalog,
+    const std::vector<TempSource>& temps,
+    const std::map<std::string, Value>* pseudo,
+    const ScalarFuncRegistry* funcs) {
+  SelectPlan plan;
+  plan.stmt_ = &stmt;
+  if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM clause is empty");
   }
-  for (const TableRef& ref : from) {
+  for (const TableRef& ref : stmt.from) {
     std::string name = ToLower(ref.table);
-    const TempTable* temp = nullptr;
-    if (ctx_.transition != nullptr) temp = ctx_.transition->Find(name);
-    if (temp == nullptr && ctx_.bound != nullptr) {
-      temp = ctx_.bound->Find(name);
-    }
-    if (temp != nullptr) {
-      inputs.Add(ref.EffectiveName(), nullptr, temp);
-      Trace(StrFormat("source %s: temp table (%zu rows)",
-                      ref.EffectiveName().c_str(), temp->size()));
+    auto temp = std::find_if(temps.begin(), temps.end(),
+                             [&](const TempSource& t) {
+                               return EqualsIgnoreCase(t.name, name);
+                             });
+    if (temp != temps.end()) {
+      plan.inputs_.AddTemp(ref.EffectiveName(), *temp->schema,
+                           static_cast<int>(temp - temps.begin()));
       continue;
     }
-    if (ctx_.catalog != nullptr) {
-      Table* table = ctx_.catalog->FindTable(name);
-      if (table != nullptr) {
-        STRIP_RETURN_IF_ERROR(LockTable(table, LockMode::kShared));
-        inputs.Add(ref.EffectiveName(), table, nullptr);
-        Trace(StrFormat("source %s: table (%zu rows)",
-                        ref.EffectiveName().c_str(), table->size()));
-        continue;
+    Table* table = catalog != nullptr ? catalog->FindTable(name) : nullptr;
+    if (table == nullptr) {
+      return Status::NotFound(StrFormat("no table '%s'", name.c_str()));
+    }
+    plan.inputs_.Add(ref.EffectiveName(), table);
+  }
+  const InputSet& inputs = plan.inputs_;
+  const size_t n = inputs.inputs().size();
+  STRIP_ASSIGN_OR_RETURN(plan.conjuncts_,
+                         ClassifyConjuncts(stmt.where.get(), inputs, pseudo));
+
+  // Single-input conjuncts become that input's scan filters; the rest are
+  // joins, with the index on each bare-column equi-join side.
+  plan.input_filters_.resize(n);
+  auto side_index = [&](const Expr* side, int input, Index*& index,
+                        int& column) {
+    if (side->kind != ExprKind::kColumnRef) return;
+    auto acc = inputs.Resolve(side->qualifier, side->column);
+    const BoundInput& in = inputs.inputs()[static_cast<size_t>(input)];
+    if (!acc.ok() || acc->input != input || in.is_temp()) return;
+    index = in.table->FindIndexByPosition(acc->column);
+    if (index != nullptr) column = acc->column;
+  };
+  for (const Conjunct& c : plan.conjuncts_) {
+    if (c.referenced.size() <= 1) {
+      int target = c.referenced.empty() ? 0 : c.referenced[0];
+      plan.input_filters_[static_cast<size_t>(target)].push_back(c.expr);
+      continue;
+    }
+    Join j;
+    j.conjunct = &c;
+    if (c.equi_join) {
+      side_index(c.lhs, c.lhs_input, j.lhs_index, j.lhs_column);
+      side_index(c.rhs, c.rhs_input, j.rhs_index, j.rhs_column);
+    }
+    plan.joins_.push_back(j);
+  }
+
+  // Per standard input: does an indexed equality pin it (join ordering),
+  // and which `col = <constant>` filter probes its index (the scan)?
+  plan.pinned_.assign(n, false);
+  plan.probes_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const BoundInput& in = inputs.inputs()[i];
+    if (in.is_temp()) continue;
+    for (const Expr* f : plan.input_filters_[i]) {
+      if (f->kind != ExprKind::kBinary || f->bin_op != BinaryOp::kEq) continue;
+      for (int side = 0; side < 2; ++side) {
+        const Expr& col_side = *f->args[static_cast<size_t>(side)];
+        const Expr& const_side = *f->args[static_cast<size_t>(1 - side)];
+        if (col_side.kind != ExprKind::kColumnRef) continue;
+        auto acc = inputs.Resolve(col_side.qualifier, col_side.column);
+        if (!acc.ok() || acc->input != static_cast<int>(i)) continue;
+        Index* idx = in.table->FindIndexByPosition(acc->column);
+        if (idx == nullptr) continue;
+        plan.pinned_[i] = true;
+        if (plan.probes_[i].index == nullptr &&
+            IsConstantExpr(const_side, inputs, pseudo)) {
+          plan.probes_[i] = Probe{idx, acc->column, &const_side};
+        }
       }
     }
-    return Status::NotFound(StrFormat("no table '%s'", name.c_str()));
   }
-  return inputs;
+
+  // Expand the select list (star -> every column of every input).
+  if (stmt.star) {
+    for (const BoundInput& in : inputs.inputs()) {
+      for (int c = 0; c < in.schema().num_columns(); ++c) {
+        SelectItem item;
+        item.expr = MakeColumnRef(in.name, in.schema().column(c).name);
+        item.alias = in.schema().column(c).name;
+        plan.expanded_.push_back(std::move(item));
+      }
+    }
+  }
+  const std::vector<SelectItem>& items = plan.items();
+  if (items.empty()) {
+    return Status::InvalidArgument("empty select list");
+  }
+
+  // Every column reference in the select list, group-by and order-by must
+  // resolve (or be a pseudo column), even when the inputs are empty.
+  auto is_output_name = [&](const Expr& e) {
+    if (e.kind != ExprKind::kColumnRef || !e.qualifier.empty()) return -1;
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (items[i].OutputName(static_cast<int>(i)) == e.column) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  };
+  {
+    std::vector<int> refs;
+    for (const SelectItem& item : items) {
+      STRIP_RETURN_IF_ERROR(
+          CollectReferencedInputs(*item.expr, inputs, pseudo, refs));
+    }
+    for (const auto& g : stmt.group_by) {
+      STRIP_RETURN_IF_ERROR(CollectReferencedInputs(*g, inputs, pseudo, refs));
+    }
+    for (const auto& ob : stmt.order_by) {
+      // An order-by may also name an output column.
+      if (is_output_name(*ob.expr) >= 0) continue;
+      STRIP_RETURN_IF_ERROR(
+          CollectReferencedInputs(*ob.expr, inputs, pseudo, refs));
+    }
+  }
+
+  plan.has_aggregates_ = !stmt.group_by.empty();
+  for (const SelectItem& item : items) {
+    if (item.expr->ContainsAggregate()) plan.has_aggregates_ = true;
+  }
+  if (stmt.having != nullptr) {
+    if (stmt.having->ContainsAggregate()) plan.has_aggregates_ = true;
+    if (!plan.has_aggregates_) {
+      return Status::InvalidArgument("HAVING requires aggregation");
+    }
+    std::vector<int> refs;
+    STRIP_RETURN_IF_ERROR(
+        CollectReferencedInputs(*stmt.having, inputs, pseudo, refs));
+  }
+
+  for (size_t i = 0; i < items.size(); ++i) {
+    plan.out_schema_.AddColumn(items[i].OutputName(static_cast<int>(i)),
+                               InferExprType(*items[i].expr, inputs));
+  }
+
+  if (plan.has_aggregates_) {
+    for (const SelectItem& item : items) {
+      CollectAggregates(*item.expr, plan.agg_nodes_);
+    }
+    for (const auto& ob : stmt.order_by) {
+      CollectAggregates(*ob.expr, plan.agg_nodes_);
+      // Order keys: output column name, else expression over the group.
+      plan.agg_order_out_col_.push_back(
+          ob.expr->kind == ExprKind::kColumnRef && ob.expr->qualifier.empty()
+              ? plan.out_schema_.FindColumn(ob.expr->column)
+              : -1);
+    }
+    if (stmt.having != nullptr) {
+      CollectAggregates(*stmt.having, plan.agg_nodes_);
+    }
+  } else {
+    // §6.1 pointer layout: bare standard-table column refs stay
+    // pointer-backed; everything else is materialized.
+    plan.out_slot_of_input_.assign(n, -1);
+    for (const SelectItem& item : items) {
+      OutCol oc;
+      oc.expr = item.expr.get();
+      if (item.expr->kind == ExprKind::kColumnRef) {
+        auto acc = inputs.Resolve(item.expr->qualifier, item.expr->column);
+        if (acc.ok() &&
+            !inputs.inputs()[static_cast<size_t>(acc->input)].is_temp()) {
+          oc.pointer = true;
+          oc.input = acc->input;
+          int& slot = plan.out_slot_of_input_[static_cast<size_t>(acc->input)];
+          if (slot < 0) slot = plan.num_out_slots_++;
+          plan.layout_.push_back(TempColumnMap{slot, acc->column});
+          plan.out_cols_.push_back(oc);
+          continue;
+        }
+      }
+      plan.layout_.push_back(TempColumnMap{TempColumnMap::kMaterializedSlot,
+                                           plan.num_out_extra_++});
+      plan.out_cols_.push_back(oc);
+    }
+    // An unqualified order key that does not resolve in the inputs but
+    // names an output column orders by that output expression.
+    for (const auto& ob : stmt.order_by) {
+      const Expr* e = ob.expr.get();
+      if (e->kind == ExprKind::kColumnRef && e->qualifier.empty() &&
+          !inputs.Resolve("", e->column).ok()) {
+        int out = is_output_name(*e);
+        if (out >= 0) e = items[static_cast<size_t>(out)].expr.get();
+      }
+      plan.order_keys_.push_back(e);
+    }
+  }
+
+  // Compile every expression the executor evaluates against join rows.
+  auto compile = [&](const Expr* e) {
+    if (e == nullptr || plan.programs_.count(e) > 0) return;
+    plan.programs_.emplace(e,
+                           CompiledExpr::Compile(*e, inputs, pseudo, funcs));
+  };
+  for (const Conjunct& c : plan.conjuncts_) {
+    compile(c.expr);
+    compile(c.lhs);
+    compile(c.rhs);
+  }
+  for (const Probe& p : plan.probes_) compile(p.key);
+  for (const SelectItem& item : items) compile(item.expr.get());
+  for (const ExprPtr& g : stmt.group_by) compile(g.get());
+  for (const OrderByItem& o : stmt.order_by) compile(o.expr.get());
+  for (const Expr* e : plan.order_keys_) compile(e);
+  compile(stmt.having.get());
+  for (const Expr* agg : plan.agg_nodes_) {
+    if (!agg->star_arg && agg->args.size() == 1) compile(agg->args[0].get());
+  }
+  return plan;
+}
+
+bool SelectPlan::uses_index_probe() const {
+  return std::any_of(probes_.begin(), probes_.end(),
+                     [](const Probe& p) { return p.index != nullptr; });
+}
+
+// ---------------------------------------------------------------------------
+// Scans
+// ---------------------------------------------------------------------------
+
+void SqlExecutor::Trace(std::string line) {
+  if (ctx_.plan_trace != nullptr) ctx_.plan_trace->push_back(std::move(line));
 }
 
 Status SqlExecutor::LockTable(Table* table, LockMode mode) {
@@ -177,83 +376,63 @@ Status SqlExecutor::LockTable(Table* table, LockMode mode) {
   return ctx_.locks->Acquire(ctx_.txn, LockKey::WholeTable(table), mode);
 }
 
-Result<Value> SqlExecutor::Eval(const Expr& expr, const InputSet& inputs,
-                                const JoinRow& row) {
-  const CompiledExpr* prog = nullptr;
-  if (ctx_.precompiled != nullptr) {
-    auto it = ctx_.precompiled->find(&expr);
-    if (it != ctx_.precompiled->end()) prog = &it->second;
+const TempTable& SqlExecutor::TempOf(int input) const {
+  const BoundInput& in = plan_->inputs_.inputs()[static_cast<size_t>(input)];
+  return *(*temps_)[static_cast<size_t>(in.temp_source)];
+}
+
+void SqlExecutor::Fill(JoinRow& row, int input, const ScanItem& item) const {
+  if (item.rec != nullptr) {
+    plan_->inputs_.FillFromStandard(row, input, item.rec);
+  } else {
+    plan_->inputs_.FillFromTemp(row, input, TempOf(input), *item.tuple);
   }
-  if (prog == nullptr) {
-    auto it = compiled_.find(&expr);
-    if (it == compiled_.end()) {
-      it = compiled_
-               .emplace(&expr, CompiledExpr::Compile(expr, inputs, ctx_.pseudo,
-                                                     ctx_.funcs))
-               .first;
-    }
-    prog = &it->second;
+}
+
+Result<Value> SqlExecutor::Eval(const Expr& expr, const JoinRow& row) {
+  auto it = plan_->programs_.find(&expr);
+  if (it == plan_->programs_.end()) {
+    return Status::Internal("expression not compiled into the SELECT plan");
   }
   frame_.row = &row;
   frame_.rec = nullptr;
   frame_.params = ctx_.params;
   frame_.pseudo = ctx_.pseudo;
-  return prog->Eval(frame_);
+  return it->second.Eval(frame_);
 }
 
 Status SqlExecutor::ScanInput(
-    const InputSet& inputs, int input, const std::vector<const Expr*>& filters,
-    const std::function<Status(const ScanItem&)>& emit) {
+    int input, const std::function<Status(const ScanItem&)>& emit) {
+  const InputSet& inputs = plan_->inputs_;
   const BoundInput& in = inputs.inputs()[static_cast<size_t>(input)];
+  const std::vector<const Expr*>& filters =
+      plan_->input_filters_[static_cast<size_t>(input)];
+  const SelectPlan::Probe& probe =
+      plan_->probes_[static_cast<size_t>(input)];
 
-  // Probe for an indexable `col = const` filter on a standard table.
-  const Index* index = nullptr;
-  Value index_key;
-  if (in.table != nullptr) {
-    for (const Expr* f : filters) {
-      if (f->kind != ExprKind::kBinary || f->bin_op != BinaryOp::kEq) continue;
-      for (int side = 0; side < 2 && index == nullptr; ++side) {
-        const Expr& col_side = *f->args[static_cast<size_t>(side)];
-        const Expr& const_side = *f->args[static_cast<size_t>(1 - side)];
-        if (col_side.kind != ExprKind::kColumnRef) continue;
-        auto acc = inputs.Resolve(col_side.qualifier, col_side.column);
-        if (!acc.ok() || acc->input != input) continue;
-        if (!IsConstantExpr(const_side, inputs, ctx_.pseudo)) continue;
-        Index* idx = in.table->FindIndexByPosition(acc->column);
-        if (idx == nullptr) continue;
-        JoinRow empty;  // constant side references no inputs
-        empty.slots.resize(static_cast<size_t>(inputs.num_slots()));
-        empty.extras.resize(static_cast<size_t>(inputs.num_extras()));
-        STRIP_ASSIGN_OR_RETURN(index_key, Eval(const_side, inputs, empty));
-        index = idx;
-      }
-      if (index != nullptr) break;
-    }
-  }
-
-  JoinRow probe;
-  probe.slots.resize(static_cast<size_t>(inputs.num_slots()));
-  probe.extras.resize(static_cast<size_t>(inputs.num_extras()));
+  JoinRow probe_row;
+  probe_row.slots.resize(static_cast<size_t>(inputs.num_slots()));
+  probe_row.extras.resize(static_cast<size_t>(inputs.num_extras()));
 
   auto passes = [&](const ScanItem& item) -> Result<bool> {
-    if (item.rec != nullptr) {
-      inputs.FillFromStandard(probe, input, item.rec);
-    } else {
-      inputs.FillFromTemp(probe, input, *item.tuple);
-    }
+    Fill(probe_row, input, item);
     for (const Expr* f : filters) {
-      STRIP_ASSIGN_OR_RETURN(Value v, Eval(*f, inputs, probe));
+      STRIP_ASSIGN_OR_RETURN(Value v, Eval(*f, probe_row));
       if (!v.IsTruthy()) return false;
     }
     return true;
   };
 
-  if (index != nullptr) {
-    Trace(StrFormat("scan %s: index probe %s = %s", in.name.c_str(),
-                    in.table->schema().column(index->column()).name.c_str(),
-                    index_key.ToString().c_str()));
+  if (probe.index != nullptr) {
+    // The key side references no inputs: evaluate it on the empty row.
+    STRIP_ASSIGN_OR_RETURN(Value index_key, Eval(*probe.key, probe_row));
+    if (tracing()) {
+      Trace(StrFormat("scan %s: index probe %s = %s", in.name.c_str(),
+                      in.table->schema().column(probe.column).name.c_str(),
+                      index_key.ToString().c_str()));
+    }
     std::vector<RowHandle> rows;
-    index->Lookup(index_key, rows);
+    probe.index->Lookup(index_key, rows);
     for (RowHandle r : rows) {
       ScanItem item;
       item.rec = r->rec;
@@ -263,7 +442,7 @@ Status SqlExecutor::ScanInput(
     return Status::OK();
   }
 
-  if (in.table != nullptr) {
+  if (!in.is_temp()) {
     // Batched full scan: gather a ScanBatch of live-slot handles per page
     // walk, then run the filter loop tight over the batch so compiled
     // expression programs read contiguous slots instead of chasing nodes.
@@ -281,7 +460,7 @@ Status SqlExecutor::ScanInput(
     return Status::OK();
   }
 
-  for (const TempTuple& t : in.temp->tuples()) {
+  for (const TempTuple& t : TempOf(input).tuples()) {
     ScanItem item;
     item.tuple = &t;
     STRIP_ASSIGN_OR_RETURN(bool ok, passes(item));
@@ -294,43 +473,16 @@ Status SqlExecutor::ScanInput(
 // Join pipeline
 // ---------------------------------------------------------------------------
 
-Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
-    const InputSet& inputs, const std::vector<Conjunct>& conjuncts) {
+Result<std::vector<JoinRow>> SqlExecutor::RunJoin() {
+  const InputSet& inputs = plan_->inputs_;
+  const std::vector<SelectPlan::Join>& joins = plan_->joins_;
   const int n = static_cast<int>(inputs.inputs().size());
-
-  // Partition conjuncts: per-input filters, equi-joins, residual.
-  std::vector<std::vector<const Expr*>> input_filters(
-      static_cast<size_t>(n));
-  std::vector<const Conjunct*> joins;     // multi-input
-  for (const Conjunct& c : conjuncts) {
-    if (c.referenced.size() <= 1) {
-      int target = c.referenced.empty() ? 0 : c.referenced[0];
-      input_filters[static_cast<size_t>(target)].push_back(c.expr);
-    } else {
-      joins.push_back(&c);
-    }
-  }
 
   // Effective input size: tiny when an indexed equality pins the scan.
   auto effective_size = [&](int i) -> size_t {
     const BoundInput& in = inputs.inputs()[static_cast<size_t>(i)];
-    size_t sz = in.EstimatedRows();
-    if (in.table != nullptr) {
-      for (const Expr* f : input_filters[static_cast<size_t>(i)]) {
-        if (f->kind == ExprKind::kBinary && f->bin_op == BinaryOp::kEq) {
-          for (int side = 0; side < 2; ++side) {
-            const Expr& cs = *f->args[static_cast<size_t>(side)];
-            if (cs.kind != ExprKind::kColumnRef) continue;
-            auto acc = inputs.Resolve(cs.qualifier, cs.column);
-            if (acc.ok() && acc->input == i &&
-                in.table->FindIndexByPosition(acc->column) != nullptr) {
-              return 1;
-            }
-          }
-        }
-      }
-    }
-    return sz;
+    if (in.is_temp()) return TempOf(i).size();
+    return plan_->pinned_[static_cast<size_t>(i)] ? 1 : in.table->size();
   };
 
   // Pick the starting input: the smallest.
@@ -340,26 +492,20 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
     if (effective_size(i) < effective_size(first)) first = i;
   }
 
-  Trace(StrFormat("start with %s",
-                  inputs.inputs()[static_cast<size_t>(first)].name.c_str()));
-  std::vector<JoinRow> current;
-  {
-    JoinRow proto;
-    proto.slots.resize(static_cast<size_t>(inputs.num_slots()));
-    proto.extras.resize(static_cast<size_t>(inputs.num_extras()));
-    STRIP_RETURN_IF_ERROR(ScanInput(
-        inputs, first, input_filters[static_cast<size_t>(first)],
-        [&](const ScanItem& item) {
-          JoinRow row = proto;
-          if (item.rec != nullptr) {
-            inputs.FillFromStandard(row, first, item.rec);
-          } else {
-            inputs.FillFromTemp(row, first, *item.tuple);
-          }
-          current.push_back(std::move(row));
-          return Status::OK();
-        }));
+  if (tracing()) {
+    Trace(StrFormat("start with %s",
+                    inputs.inputs()[static_cast<size_t>(first)].name.c_str()));
   }
+  JoinRow proto;
+  proto.slots.resize(static_cast<size_t>(inputs.num_slots()));
+  proto.extras.resize(static_cast<size_t>(inputs.num_extras()));
+  std::vector<JoinRow> current;
+  STRIP_RETURN_IF_ERROR(ScanInput(first, [&](const ScanItem& item) {
+    JoinRow row = proto;
+    Fill(row, first, item);
+    current.push_back(std::move(row));
+    return Status::OK();
+  }));
   joined[static_cast<size_t>(first)] = true;
 
   auto all_joined = [&](const std::vector<int>& refs) {
@@ -382,11 +528,12 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
     for (int i = 0; i < n; ++i) {
       if (joined[static_cast<size_t>(i)]) continue;
       bool connected = false;
-      for (const Conjunct* j : joins) {
-        if (!j->equi_join) continue;
+      for (const SelectPlan::Join& j : joins) {
+        const Conjunct& c = *j.conjunct;
+        if (!c.equi_join) continue;
         int other = -1;
-        if (j->lhs_input == i) other = j->rhs_input;
-        if (j->rhs_input == i) other = j->lhs_input;
+        if (c.lhs_input == i) other = c.rhs_input;
+        if (c.rhs_input == i) other = c.lhs_input;
         if (other >= 0 && joined[static_cast<size_t>(other)]) {
           connected = true;
           break;
@@ -402,72 +549,62 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
     }
     STRIP_CHECK(next >= 0);
 
-    // Collect the usable equi-join keys for `next`.
+    // Collect the usable equi-join keys for `next`, and the first of them
+    // whose `next` side is an indexed bare column (index-nested-loop).
     std::vector<const Expr*> next_keys;    // side referencing `next`
     std::vector<const Expr*> other_keys;   // side referencing joined inputs
     std::vector<size_t> used_joins;
+    Index* index = nullptr;
+    int index_column = -1;
+    size_t index_join_slot = 0;
     for (size_t ji = 0; ji < joins.size(); ++ji) {
-      const Conjunct* j = joins[ji];
-      if (!j->equi_join || join_applied[ji]) continue;
+      const SelectPlan::Join& j = joins[ji];
+      const Conjunct& c = *j.conjunct;
+      if (!c.equi_join || join_applied[ji]) continue;
       const Expr* mine = nullptr;
       const Expr* theirs = nullptr;
       int other_input = -1;
-      if (j->lhs_input == next) {
-        mine = j->lhs;
-        theirs = j->rhs;
-        other_input = j->rhs_input;
-      } else if (j->rhs_input == next) {
-        mine = j->rhs;
-        theirs = j->lhs;
-        other_input = j->lhs_input;
+      Index* mine_index = nullptr;
+      int mine_column = -1;
+      if (c.lhs_input == next) {
+        mine = c.lhs;
+        theirs = c.rhs;
+        other_input = c.rhs_input;
+        mine_index = j.lhs_index;
+        mine_column = j.lhs_column;
+      } else if (c.rhs_input == next) {
+        mine = c.rhs;
+        theirs = c.lhs;
+        other_input = c.lhs_input;
+        mine_index = j.rhs_index;
+        mine_column = j.rhs_column;
       } else {
         continue;
       }
       if (!joined[static_cast<size_t>(other_input)]) continue;
+      if (index == nullptr && mine_index != nullptr) {
+        index = mine_index;
+        index_column = mine_column;
+        index_join_slot = next_keys.size();
+      }
       next_keys.push_back(mine);
       other_keys.push_back(theirs);
       used_joins.push_back(ji);
     }
 
     std::vector<JoinRow> merged;
-
-    // Index-nested-loop: single equality whose `next` side is a bare
-    // indexed column of a standard table.
     const BoundInput& nin = inputs.inputs()[static_cast<size_t>(next)];
-    Index* index = nullptr;
-    int index_key_pos = -1;
-    size_t index_join_slot = 0;
-    if (nin.table != nullptr && !next_keys.empty()) {
-      for (size_t k = 0; k < next_keys.size(); ++k) {
-        const Expr* mine = next_keys[k];
-        if (mine->kind != ExprKind::kColumnRef) continue;
-        auto acc = inputs.Resolve(mine->qualifier, mine->column);
-        if (!acc.ok() || acc->input != next) continue;
-        Index* idx = nin.table->FindIndexByPosition(acc->column);
-        if (idx != nullptr) {
-          index = idx;
-          index_key_pos = acc->column;
-          index_join_slot = k;
-          break;
-        }
-      }
-    }
-
-    const auto& filters = input_filters[static_cast<size_t>(next)];
+    const auto& filters = plan_->input_filters_[static_cast<size_t>(next)];
 
     auto emit_if_match = [&](JoinRow& base, const ScanItem& item)
         -> Status {
       JoinRow row = base;
-      if (item.rec != nullptr) {
-        inputs.FillFromStandard(row, next, item.rec);
-      } else {
-        inputs.FillFromTemp(row, next, *item.tuple);
-      }
+      Fill(row, next, item);
       // Remaining equality keys + next's filters.
       for (size_t k = 0; k < next_keys.size(); ++k) {
         if (index != nullptr && k == index_join_slot) continue;
-        STRIP_ASSIGN_OR_RETURN(Value a, Eval(*next_keys[k], inputs, row));
-        STRIP_ASSIGN_OR_RETURN(Value b, Eval(*other_keys[k], inputs, row));
+        STRIP_ASSIGN_OR_RETURN(Value a, Eval(*next_keys[k], row));
+        STRIP_ASSIGN_OR_RETURN(Value b, Eval(*other_keys[k], row));
         if (a.is_null() || b.is_null() || a != b) return Status::OK();
       }
       merged.push_back(std::move(row));
@@ -475,17 +612,15 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
     };
 
     if (index != nullptr) {
-      (void)index_key_pos;
-      Trace(StrFormat("index-nested-loop join %s (index on %s)",
-                      nin.name.c_str(),
-                      nin.table->schema()
-                          .column(index_key_pos)
-                          .name.c_str()));
+      if (tracing()) {
+        Trace(StrFormat("index-nested-loop join %s (index on %s)",
+                        nin.name.c_str(),
+                        nin.table->schema().column(index_column).name.c_str()));
+      }
       std::vector<RowHandle> rows;  // reused across probes (Lookup appends)
       for (JoinRow& base : current) {
         STRIP_ASSIGN_OR_RETURN(Value key,
-                               Eval(*other_keys[index_join_slot], inputs,
-                                    base));
+                               Eval(*other_keys[index_join_slot], base));
         if (key.is_null()) continue;
         rows.clear();
         index->Lookup(key, rows);
@@ -495,7 +630,7 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
           inputs.FillFromStandard(probe, next, r->rec);
           bool pass = true;
           for (const Expr* f : filters) {
-            STRIP_ASSIGN_OR_RETURN(Value v, Eval(*f, inputs, probe));
+            STRIP_ASSIGN_OR_RETURN(Value v, Eval(*f, probe));
             if (!v.IsTruthy()) {
               pass = false;
               break;
@@ -509,25 +644,21 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
       }
     } else if (!next_keys.empty()) {
       // Hash join: build on `next`, probe with current rows.
-      Trace(StrFormat("hash join %s (%zu equi key%s)", nin.name.c_str(),
-                      next_keys.size(), next_keys.size() == 1 ? "" : "s"));
+      if (tracing()) {
+        Trace(StrFormat("hash join %s (%zu equi key%s)", nin.name.c_str(),
+                        next_keys.size(), next_keys.size() == 1 ? "" : "s"));
+      }
       std::unordered_map<std::vector<Value>, std::vector<ScanItem>,
                          ValueVectorHash, ValueVectorEq>
           build;
-      JoinRow probe;
-      probe.slots.resize(static_cast<size_t>(inputs.num_slots()));
-      probe.extras.resize(static_cast<size_t>(inputs.num_extras()));
-      STRIP_RETURN_IF_ERROR(ScanInput(
-          inputs, next, filters, [&](const ScanItem& item) -> Status {
-            if (item.rec != nullptr) {
-              inputs.FillFromStandard(probe, next, item.rec);
-            } else {
-              inputs.FillFromTemp(probe, next, *item.tuple);
-            }
+      JoinRow probe = proto;
+      STRIP_RETURN_IF_ERROR(
+          ScanInput(next, [&](const ScanItem& item) -> Status {
+            Fill(probe, next, item);
             std::vector<Value> key;
             key.reserve(next_keys.size());
             for (const Expr* e : next_keys) {
-              STRIP_ASSIGN_OR_RETURN(Value v, Eval(*e, inputs, probe));
+              STRIP_ASSIGN_OR_RETURN(Value v, Eval(*e, probe));
               key.push_back(std::move(v));
             }
             build[std::move(key)].push_back(item);
@@ -538,7 +669,7 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
         key.reserve(other_keys.size());
         bool null_key = false;
         for (const Expr* e : other_keys) {
-          STRIP_ASSIGN_OR_RETURN(Value v, Eval(*e, inputs, base));
+          STRIP_ASSIGN_OR_RETURN(Value v, Eval(*e, base));
           if (v.is_null()) {
             null_key = true;
             break;
@@ -550,23 +681,20 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
         if (it == build.end()) continue;
         for (const ScanItem& item : it->second) {
           JoinRow row = base;
-          if (item.rec != nullptr) {
-            inputs.FillFromStandard(row, next, item.rec);
-          } else {
-            inputs.FillFromTemp(row, next, *item.tuple);
-          }
+          Fill(row, next, item);
           merged.push_back(std::move(row));
         }
       }
     } else {
       // Cross / nested-loop join.
-      Trace(StrFormat("nested-loop join %s", nin.name.c_str()));
+      if (tracing()) {
+        Trace(StrFormat("nested-loop join %s", nin.name.c_str()));
+      }
       std::vector<ScanItem> items;
-      STRIP_RETURN_IF_ERROR(
-          ScanInput(inputs, next, filters, [&](const ScanItem& item) {
-            items.push_back(item);
-            return Status::OK();
-          }));
+      STRIP_RETURN_IF_ERROR(ScanInput(next, [&](const ScanItem& item) {
+        items.push_back(item);
+        return Status::OK();
+      }));
       for (JoinRow& base : current) {
         for (const ScanItem& item : items) {
           STRIP_RETURN_IF_ERROR(emit_if_match(base, item));
@@ -581,12 +709,12 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
     // Apply any residual conjunct that just became fully bound.
     for (size_t ji = 0; ji < joins.size(); ++ji) {
       if (join_applied[ji]) continue;
-      const Conjunct* j = joins[ji];
-      if (!all_joined(j->referenced)) continue;
+      const Conjunct& c = *joins[ji].conjunct;
+      if (!all_joined(c.referenced)) continue;
       std::vector<JoinRow> kept;
       kept.reserve(current.size());
       for (JoinRow& row : current) {
-        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*j->expr, inputs, row));
+        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*c.expr, row));
         if (v.IsTruthy()) kept.push_back(std::move(row));
       }
       current = std::move(kept);
@@ -603,119 +731,67 @@ Result<std::vector<JoinRow>> SqlExecutor::RunJoin(
 
 Result<TempTable> SqlExecutor::ExecuteSelect(const SelectStmt& stmt,
                                              const std::string& output_name) {
-  STRIP_ASSIGN_OR_RETURN(InputSet inputs, BindFrom(stmt.from));
-  STRIP_ASSIGN_OR_RETURN(
-      std::vector<Conjunct> conjuncts,
-      ClassifyConjuncts(stmt.where.get(), inputs, ctx_.pseudo));
-  return ExecuteSelectBound(stmt, inputs, conjuncts, output_name);
+  // The task's bound tables shadow the catalog (§6.3).
+  std::vector<SelectPlan::TempSource> sources;
+  std::vector<const TempTable*> temps;
+  if (ctx_.bound != nullptr) {
+    for (const TempTable& t : ctx_.bound->tables()) {
+      sources.push_back(SelectPlan::TempSource{t.name(), &t.schema()});
+      temps.push_back(&t);
+    }
+  }
+  STRIP_ASSIGN_OR_RETURN(SelectPlan plan,
+                         SelectPlan::Build(stmt, ctx_.catalog, sources,
+                                           ctx_.pseudo, ctx_.funcs));
+  return Execute(plan, temps, output_name);
 }
 
-Result<TempTable> SqlExecutor::ExecuteSelectBound(
-    const SelectStmt& stmt, const InputSet& inputs,
-    const std::vector<Conjunct>& conjuncts, const std::string& output_name) {
-  // Programs cached in earlier executions carry slot positions for a
-  // different InputSet; drop them before touching this one.
-  compiled_.clear();
+Result<TempTable> SqlExecutor::Execute(
+    const SelectPlan& plan, const std::vector<const TempTable*>& temps,
+    const std::string& output_name) {
+  plan_ = &plan;
+  temps_ = &temps;
+  const SelectStmt& stmt = *plan.stmt_;
+  const InputSet& inputs = plan.inputs_;
 
-  // Locks are per-execution, never part of a frozen plan: re-acquire shared
-  // locks on every standard input (a no-op when BindFrom just did).
-  for (const BoundInput& in : inputs.inputs()) {
-    if (in.table != nullptr) {
+  // Locks are per-execution, never part of a plan: take a shared lock on
+  // every standard input, in FROM order.
+  for (size_t i = 0; i < inputs.inputs().size(); ++i) {
+    const BoundInput& in = inputs.inputs()[i];
+    if (!in.is_temp()) {
       STRIP_RETURN_IF_ERROR(LockTable(in.table, LockMode::kShared));
-    }
-  }
-
-  STRIP_ASSIGN_OR_RETURN(std::vector<JoinRow> rows,
-                         RunJoin(inputs, conjuncts));
-
-  // Expand the select list (star -> every column of every input).
-  std::vector<SelectItem> expanded;
-  const std::vector<SelectItem>* items = &stmt.items;
-  if (stmt.star) {
-    for (const BoundInput& in : inputs.inputs()) {
-      for (int c = 0; c < in.schema().num_columns(); ++c) {
-        SelectItem item;
-        item.expr = MakeColumnRef(in.name, in.schema().column(c).name);
-        item.alias = in.schema().column(c).name;
-        expanded.push_back(std::move(item));
+      if (tracing()) {
+        Trace(StrFormat("source %s: table (%zu rows)", in.name.c_str(),
+                        in.table->size()));
       }
+      continue;
     }
-    items = &expanded;
-  }
-  if (items->empty()) {
-    return Status::InvalidArgument("empty select list");
-  }
-
-  // Bind-time validation: every column reference in the select list,
-  // group-by, and order-by must resolve (or be a pseudo column), even when
-  // the inputs are empty.
-  {
-    std::vector<int> refs;
-    for (const SelectItem& item : *items) {
-      STRIP_RETURN_IF_ERROR(
-          CollectReferencedInputs(*item.expr, inputs, ctx_.pseudo, refs));
+    const size_t source = static_cast<size_t>(in.temp_source);
+    if (source >= temps.size() || temps[source] == nullptr ||
+        temps[source]->schema().num_columns() !=
+            in.temp_schema->num_columns()) {
+      return Status::Internal(StrFormat(
+          "temp table bound to '%s' does not match its SELECT plan",
+          in.name.c_str()));
     }
-    for (const auto& g : stmt.group_by) {
-      STRIP_RETURN_IF_ERROR(
-          CollectReferencedInputs(*g, inputs, ctx_.pseudo, refs));
-    }
-    for (const auto& ob : stmt.order_by) {
-      // An order-by may also name an output column.
-      if (ob.expr->kind == ExprKind::kColumnRef &&
-          ob.expr->qualifier.empty()) {
-        bool is_output = false;
-        for (size_t i = 0; i < items->size(); ++i) {
-          if ((*items)[i].OutputName(static_cast<int>(i)) ==
-              ob.expr->column) {
-            is_output = true;
-            break;
-          }
-        }
-        if (is_output) continue;
-      }
-      STRIP_RETURN_IF_ERROR(
-          CollectReferencedInputs(*ob.expr, inputs, ctx_.pseudo, refs));
+    if (tracing()) {
+      Trace(StrFormat("source %s: temp table (%zu rows)", in.name.c_str(),
+                      temps[source]->size()));
     }
   }
 
-  bool has_aggregates = !stmt.group_by.empty();
-  for (const SelectItem& item : *items) {
-    if (item.expr->ContainsAggregate()) has_aggregates = true;
-  }
-  if (stmt.having != nullptr) {
-    if (stmt.having->ContainsAggregate()) has_aggregates = true;
-    if (!has_aggregates) {
-      return Status::InvalidArgument("HAVING requires aggregation");
+  STRIP_ASSIGN_OR_RETURN(std::vector<JoinRow> rows, RunJoin());
+  const std::vector<SelectItem>& items = plan.items();
+  const Schema& out_schema = plan.out_schema_;
+
+  if (plan.has_aggregates_) {
+    if (tracing()) {
+      Trace(StrFormat("hash aggregate: %zu group key(s)%s",
+                      stmt.group_by.size(),
+                      stmt.having != nullptr ? ", having filter" : ""));
     }
-    std::vector<int> refs;
-    STRIP_RETURN_IF_ERROR(
-        CollectReferencedInputs(*stmt.having, inputs, ctx_.pseudo, refs));
-  }
-
-  // Output schema.
-  Schema out_schema;
-  for (size_t i = 0; i < items->size(); ++i) {
-    out_schema.AddColumn((*items)[i].OutputName(static_cast<int>(i)),
-                         InferExprType(*(*items)[i].expr, inputs));
-  }
-
-  std::vector<std::vector<Value>> out_rows;       // aggregate path
-  std::vector<size_t> row_order;                  // non-agg: index into rows
-  TempTable result = TempTable::Materialized(output_name, out_schema);
-
-  if (has_aggregates) {
-    Trace(StrFormat("hash aggregate: %zu group key(s)%s",
-                    stmt.group_by.size(),
-                    stmt.having != nullptr ? ", having filter" : ""));
     // ---- hash aggregation ----
-    std::vector<const Expr*> agg_nodes;
-    for (const SelectItem& item : *items) {
-      CollectAggregates(*item.expr, agg_nodes);
-    }
-    for (const auto& ob : stmt.order_by) {
-      CollectAggregates(*ob.expr, agg_nodes);
-    }
-    if (stmt.having != nullptr) CollectAggregates(*stmt.having, agg_nodes);
+    const std::vector<const Expr*>& agg_nodes = plan.agg_nodes_;
     struct Group {
       size_t representative;
       std::vector<AggState> states;
@@ -727,7 +803,7 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
       std::vector<Value> key;
       key.reserve(stmt.group_by.size());
       for (const auto& g : stmt.group_by) {
-        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*g, inputs, rows[r]));
+        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*g, rows[r]));
         key.push_back(std::move(v));
       }
       auto [it, inserted] = groups.try_emplace(std::move(key));
@@ -743,7 +819,7 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
             return Status::InvalidArgument(StrFormat(
                 "%s() takes exactly one argument", agg.func_name.c_str()));
           }
-          STRIP_ASSIGN_OR_RETURN(v, Eval(*agg.args[0], inputs, rows[r]));
+          STRIP_ASSIGN_OR_RETURN(v, Eval(*agg.args[0], rows[r]));
         }
         it->second.states[a].Accumulate(agg, v);
       }
@@ -774,25 +850,21 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
       const JoinRow& row =
           frame_.null_columns ? no_row : rows[group.representative];
       if (stmt.having != nullptr) {
-        STRIP_ASSIGN_OR_RETURN(Value keep, Eval(*stmt.having, inputs, row));
+        STRIP_ASSIGN_OR_RETURN(Value keep, Eval(*stmt.having, row));
         if (!keep.IsTruthy()) return Status::OK();
       }
       OutRow out;
-      out.values.reserve(items->size());
-      for (const SelectItem& item : *items) {
-        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, inputs, row));
+      out.values.reserve(items.size());
+      for (const SelectItem& item : items) {
+        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, row));
         out.values.push_back(std::move(v));
       }
-      for (const auto& ob : stmt.order_by) {
-        // Order keys: output column name, else expression over the group.
-        if (ob.expr->kind == ExprKind::kColumnRef &&
-            ob.expr->qualifier.empty() &&
-            out_schema.FindColumn(ob.expr->column) >= 0) {
-          out.sort_keys.push_back(
-              out.values[static_cast<size_t>(
-                  out_schema.FindColumn(ob.expr->column))]);
+      for (size_t k = 0; k < stmt.order_by.size(); ++k) {
+        int out_col = plan.agg_order_out_col_[k];
+        if (out_col >= 0) {
+          out.sort_keys.push_back(out.values[static_cast<size_t>(out_col)]);
         } else {
-          STRIP_ASSIGN_OR_RETURN(Value v, Eval(*ob.expr, inputs, row));
+          STRIP_ASSIGN_OR_RETURN(Value v, Eval(*stmt.order_by[k].expr, row));
           out.sort_keys.push_back(std::move(v));
         }
       }
@@ -809,7 +881,9 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
     frame_.null_columns = false;
     STRIP_RETURN_IF_ERROR(st);
     if (!stmt.order_by.empty()) {
-      Trace(StrFormat("sort %zu group row(s)", produced.size()));
+      if (tracing()) {
+        Trace(StrFormat("sort %zu group row(s)", produced.size()));
+      }
       std::stable_sort(produced.begin(), produced.end(),
                        [&](const OutRow& a, const OutRow& b) {
                          for (size_t k = 0; k < stmt.order_by.size(); ++k) {
@@ -834,6 +908,7 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
       }
       produced = std::move(unique_rows);
     }
+    TempTable result = TempTable::Materialized(output_name, out_schema);
     for (OutRow& out : produced) {
       if (stmt.limit >= 0 &&
           static_cast<int64_t>(result.size()) >= stmt.limit) {
@@ -847,70 +922,19 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
   }
 
   // ---- non-aggregate projection with the §6.1 pointer layout ----
-  // Classify output columns: bare standard-table column refs stay
-  // pointer-backed; everything else is materialized.
-  struct OutCol {
-    bool pointer = false;
-    int input = -1;        // for pointer columns
-    int column = -1;
-    const Expr* expr = nullptr;
-  };
-  std::vector<OutCol> out_cols;
-  std::vector<int> used_slot_of_input(inputs.inputs().size(), -1);
-  int num_out_slots = 0;
-  int num_out_extra = 0;
-  std::vector<TempColumnMap> layout;
-  for (const SelectItem& item : *items) {
-    OutCol oc;
-    oc.expr = item.expr.get();
-    if (item.expr->kind == ExprKind::kColumnRef) {
-      auto acc = inputs.Resolve(item.expr->qualifier, item.expr->column);
-      if (acc.ok() &&
-          !inputs.inputs()[static_cast<size_t>(acc->input)].is_temp()) {
-        oc.pointer = true;
-        oc.input = acc->input;
-        oc.column = acc->column;
-        int& slot = used_slot_of_input[static_cast<size_t>(acc->input)];
-        if (slot < 0) slot = num_out_slots++;
-        layout.push_back(TempColumnMap{slot, acc->column});
-        out_cols.push_back(oc);
-        continue;
-      }
-    }
-    layout.push_back(
-        TempColumnMap{TempColumnMap::kMaterializedSlot, num_out_extra++});
-    out_cols.push_back(oc);
-  }
-  result = TempTable(output_name, out_schema, std::move(layout),
-                     num_out_slots, num_out_extra);
+  TempTable result(output_name, out_schema, plan.layout_, plan.num_out_slots_,
+                   plan.num_out_extra_);
 
   // Sort order for non-aggregate queries: evaluate order keys per join row.
-  row_order.resize(rows.size());
+  std::vector<size_t> row_order(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) row_order[i] = i;
   if (!stmt.order_by.empty()) {
-    Trace(StrFormat("sort %zu row(s)", rows.size()));
-    // Resolve each order key: an unqualified name that does not resolve in
-    // the inputs but matches an output column orders by that output
-    // expression.
-    std::vector<const Expr*> key_exprs;
-    for (const auto& ob : stmt.order_by) {
-      const Expr* e = ob.expr.get();
-      if (e->kind == ExprKind::kColumnRef && e->qualifier.empty() &&
-          !inputs.Resolve("", e->column).ok()) {
-        for (size_t i = 0; i < items->size(); ++i) {
-          if ((*items)[i].OutputName(static_cast<int>(i)) == e->column) {
-            e = (*items)[i].expr.get();
-            break;
-          }
-        }
-      }
-      key_exprs.push_back(e);
-    }
+    if (tracing()) Trace(StrFormat("sort %zu row(s)", rows.size()));
     std::vector<std::vector<Value>> keys(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-      keys[i].reserve(stmt.order_by.size());
-      for (const Expr* ke : key_exprs) {
-        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*ke, inputs, rows[i]));
+      keys[i].reserve(plan.order_keys_.size());
+      for (const Expr* ke : plan.order_keys_) {
+        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*ke, rows[i]));
         keys[i].push_back(std::move(v));
       }
     }
@@ -935,17 +959,17 @@ Result<TempTable> SqlExecutor::ExecuteSelectBound(
     }
     const JoinRow& row = rows[ri];
     TempTuple t;
-    t.slots.resize(static_cast<size_t>(num_out_slots));
-    t.extra.resize(static_cast<size_t>(num_out_extra));
+    t.slots.resize(static_cast<size_t>(plan.num_out_slots_));
+    t.extra.resize(static_cast<size_t>(plan.num_out_extra_));
     int extra_i = 0;
-    for (const OutCol& oc : out_cols) {
+    for (const SelectPlan::OutCol& oc : plan.out_cols_) {
       if (oc.pointer) {
         const BoundInput& in = inputs.inputs()[static_cast<size_t>(oc.input)];
-        int slot = used_slot_of_input[static_cast<size_t>(oc.input)];
+        int slot = plan.out_slot_of_input_[static_cast<size_t>(oc.input)];
         t.slots[static_cast<size_t>(slot)] =
             row.slots[static_cast<size_t>(in.slot)];
       } else {
-        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*oc.expr, inputs, row));
+        STRIP_ASSIGN_OR_RETURN(Value v, Eval(*oc.expr, row));
         t.extra[static_cast<size_t>(extra_i++)] = std::move(v);
       }
     }

@@ -19,18 +19,17 @@
 
 namespace strip {
 
-/// Everything a statement execution needs. The resolution order for table
-/// names is: transition tables, then the task's bound tables, then the
-/// catalog (§6.3).
+/// Everything a statement execution needs. Table names resolve to the
+/// task's bound tables, then the catalog (§6.3); rule queries reach the
+/// transition tables through their SelectPlan's temp placeholders.
 struct ExecContext {
   Catalog* catalog = nullptr;
   LockManager* locks = nullptr;  // optional; when set, 2PL table locks
   Transaction* txn = nullptr;    // required for DML (logging); optional reads
-  const BoundTableSet* transition = nullptr;  // inserted/deleted/new/old
-  const BoundTableSet* bound = nullptr;       // task bound tables
+  const BoundTableSet* bound = nullptr;  // task bound tables
   const ScalarFuncRegistry* funcs = nullptr;
   /// Pseudo columns resolved when nothing else matches a bare name — the
-  /// rule system injects `commit_time` here at bind time (§2).
+  /// rule system injects `commit_time` here for each firing (§2).
   const std::map<std::string, Value>* pseudo = nullptr;
   /// Bindings for '?' placeholders (prepared-statement execution).
   const std::vector<Value>* params = nullptr;
@@ -38,10 +37,6 @@ struct ExecContext {
   /// decision (scan method, join order and algorithm, aggregation, sort,
   /// limit) — the EXPLAIN facility. The query still executes.
   std::vector<std::string>* plan_trace = nullptr;
-  /// Programs compiled at prepare time, keyed by Expr node (the prepared
-  /// statement keeps the nodes alive). Consulted before the executor's own
-  /// per-statement compile cache.
-  const std::unordered_map<const Expr*, CompiledExpr>* precompiled = nullptr;
   /// When non-null, full scans (SELECT inputs and DML) add the rows they
   /// visit here — the engine points it at the executing task's
   /// rows_scanned so per-rule cost counters can attribute scan work
@@ -76,6 +71,107 @@ struct DmlPlan {
   std::string note;
 };
 
+/// A SELECT resolved and compiled once: FROM bound, WHERE classified and
+/// split into per-input filters and joins, every expression the executor
+/// evaluates compiled to a slot program, column references validated, the
+/// output schema and §6.1 pointer-vs-materialized layout fixed, and the
+/// index probes resolved. Only the join order is left to each execution,
+/// picked from live input sizes (a batched window's transition table can be
+/// large).
+///
+/// FROM names resolve first against `temps` — placeholders, a name and a
+/// schema, for temporary tables the caller binds by position at every
+/// execution (a commit's transition tables, a task's bound tables) — then
+/// against the catalog. The plan holds raw Table* / Index* pointers, so it
+/// is valid for one catalog generation, and it borrows the statement's Expr
+/// nodes and the placeholder schemas, which must outlive it. Prepared
+/// SELECTs and rule conditions / evaluate queries cache one per catalog
+/// generation; SqlExecutor::ExecuteSelect builds one per call.
+class SelectPlan {
+ public:
+  struct TempSource {
+    std::string name;
+    const Schema* schema = nullptr;
+  };
+
+  /// Resolves and compiles `stmt`. NotFound for a missing table or column,
+  /// InvalidArgument for an empty FROM or select list, an ambiguous column
+  /// or HAVING without aggregation. `pseudo` names the pseudo columns bare
+  /// names may fall back to; their values are read at execution.
+  static Result<SelectPlan> Build(const SelectStmt& stmt,
+                                  const Catalog* catalog,
+                                  const std::vector<TempSource>& temps,
+                                  const std::map<std::string, Value>* pseudo,
+                                  const ScalarFuncRegistry* funcs);
+
+  SelectPlan(SelectPlan&&) = default;
+  SelectPlan& operator=(SelectPlan&&) = default;
+  SelectPlan(const SelectPlan&) = delete;
+  SelectPlan& operator=(const SelectPlan&) = delete;
+
+  const InputSet& inputs() const { return inputs_; }
+  size_t num_programs() const { return programs_.size(); }
+  /// True when some standard input is reached through an indexed
+  /// `col = <constant>` probe rather than a scan.
+  bool uses_index_probe() const;
+
+ private:
+  friend class SqlExecutor;
+
+  SelectPlan() = default;
+
+  /// An indexed `col = <constant>` filter of a standard input.
+  struct Probe {
+    const Index* index = nullptr;
+    int column = -1;
+    const Expr* key = nullptr;
+  };
+  /// A multi-input conjunct, with the index on each equi-join side that is
+  /// a bare column of a standard input (the index-nested-loop candidates).
+  struct Join {
+    const Conjunct* conjunct = nullptr;
+    Index* lhs_index = nullptr;
+    int lhs_column = -1;
+    Index* rhs_index = nullptr;
+    int rhs_column = -1;
+  };
+  /// An output column of a non-aggregate query: a pointer into a standard
+  /// input's record, or a materialized expression value.
+  struct OutCol {
+    bool pointer = false;
+    int input = -1;
+    const Expr* expr = nullptr;
+  };
+
+  const std::vector<SelectItem>& items() const {
+    return stmt_->star ? expanded_ : stmt_->items;
+  }
+
+  const SelectStmt* stmt_ = nullptr;
+  InputSet inputs_;
+  std::vector<Conjunct> conjuncts_;
+  std::vector<std::vector<const Expr*>> input_filters_;  // per input
+  /// Per input: an indexed equality pins the scan to ~1 row (join order).
+  std::vector<bool> pinned_;
+  std::vector<Probe> probes_;  // per input; index null = none
+  std::vector<Join> joins_;
+  std::unordered_map<const Expr*, CompiledExpr> programs_;
+  std::vector<SelectItem> expanded_;  // `select *`, one item per column
+  bool has_aggregates_ = false;
+  std::vector<const Expr*> agg_nodes_;
+  Schema out_schema_;
+  /// Aggregate path: per ORDER BY item, the output column it names, or -1
+  /// to evaluate the expression over the group.
+  std::vector<int> agg_order_out_col_;
+  /// Non-aggregate path: the output layout and the resolved sort keys.
+  std::vector<OutCol> out_cols_;
+  std::vector<TempColumnMap> layout_;
+  std::vector<int> out_slot_of_input_;
+  int num_out_slots_ = 0;
+  int num_out_extra_ = 0;
+  std::vector<const Expr*> order_keys_;
+};
+
 /// Executes parsed statements. Stateless between calls; cheap to construct.
 ///
 /// Query processing: filter pushdown to scans, index-nested-loop joins when
@@ -87,17 +183,18 @@ class SqlExecutor {
  public:
   explicit SqlExecutor(const ExecContext& ctx) : ctx_(ctx) {}
 
-  /// Runs a SELECT, producing a temp table named `output_name`.
+  /// Runs a SELECT, producing a temp table named `output_name`: builds a
+  /// SelectPlan whose FROM resolves through the context's bound tables,
+  /// then the catalog, and executes it.
   Result<TempTable> ExecuteSelect(const SelectStmt& stmt,
                                   const std::string& output_name = "_result");
 
-  /// Runs a SELECT whose FROM clause is already resolved and whose WHERE is
-  /// already classified — the prepared-statement fast path. Acquires shared
-  /// locks on the standard inputs (re-entrant after BindFrom).
-  Result<TempTable> ExecuteSelectBound(const SelectStmt& stmt,
-                                       const InputSet& inputs,
-                                       const std::vector<Conjunct>& conjuncts,
-                                       const std::string& output_name);
+  /// The one SELECT routine: executes `plan` with `temps[i]` bound to the
+  /// plan's temp source i (sizes and schemas must match the placeholders).
+  /// Acquires shared locks on the standard inputs.
+  Result<TempTable> Execute(const SelectPlan& plan,
+                            const std::vector<const TempTable*>& temps,
+                            const std::string& output_name);
 
   /// The one DML routine: locks the table exclusively, reaches candidate
   /// rows through the plan's index probe or a full scan (counted into
@@ -112,37 +209,35 @@ class SqlExecutor {
     const TempTuple* tuple = nullptr;
   };
 
-  /// Resolves FROM entries through transition -> bound -> catalog.
-  Result<InputSet> BindFrom(const std::vector<TableRef>& from);
-
   /// Acquires a table lock (no-op without a lock manager / transaction).
   Status LockTable(Table* table, LockMode mode);
 
+  /// The temp table bound to temp input `input` in this execution.
+  const TempTable& TempOf(int input) const;
+
+  /// Fills input `input`'s positions of `row` from a scanned item.
+  void Fill(JoinRow& row, int input, const ScanItem& item) const;
+
   /// Scans input `i`, applying its pushed-down filters, invoking `emit`.
-  /// Uses an index for `col = const` filters when available.
-  Status ScanInput(const InputSet& inputs, int input,
-                   const std::vector<const Expr*>& filters,
+  /// Uses the plan's index probe for a `col = const` filter when it has one.
+  Status ScanInput(int input,
                    const std::function<Status(const ScanItem&)>& emit);
 
   /// Executes the join pipeline; returns surviving joined rows.
-  Result<std::vector<JoinRow>> RunJoin(const InputSet& inputs,
-                                       const std::vector<Conjunct>& conjuncts);
+  Result<std::vector<JoinRow>> RunJoin();
 
-  /// Evaluates `expr` against `row` through its compiled program (looked
-  /// up in the precompiled map, else compiled once per execution).
-  Result<Value> Eval(const Expr& expr, const InputSet& inputs,
-                     const JoinRow& row);
+  /// Evaluates `expr` against `row` through the plan's compiled program.
+  Result<Value> Eval(const Expr& expr, const JoinRow& row);
 
-  /// Appends a plan-trace line when tracing is enabled.
-  void Trace(const std::string& line);
+  /// True when the executor records plan-trace lines (EXPLAIN); callers
+  /// check it before formatting a line.
+  bool tracing() const { return ctx_.plan_trace != nullptr; }
+  void Trace(std::string line);
 
   ExecContext ctx_;
-
-  /// Per-statement-execution compiled-program cache, keyed by Expr node.
-  /// Cleared at every top-level entry: programs carry slot positions
-  /// resolved against that execution's InputSet (which lives on the
-  /// caller's stack), so they must not survive into the next call.
-  std::unordered_map<const Expr*, CompiledExpr> compiled_;
+  /// The plan and temp binding of the SELECT being executed.
+  const SelectPlan* plan_ = nullptr;
+  const std::vector<const TempTable*>* temps_ = nullptr;
   EvalFrame frame_;
 };
 

@@ -7,18 +7,22 @@
 
 namespace strip {
 
-void InputSet::Add(std::string name, Table* table, const TempTable* temp) {
+void InputSet::Add(std::string name, Table* table) {
+  STRIP_CHECK(table != nullptr);
   BoundInput in;
   in.name = ToLower(name);
   in.table = table;
-  in.temp = temp;
-  if (table != nullptr) {
-    in.slot = num_slots_++;
-  } else {
-    STRIP_CHECK(temp != nullptr);
-    in.extra_base = num_extras_;
-    num_extras_ += temp->schema().num_columns();
-  }
+  in.slot = num_slots_++;
+  inputs_.push_back(std::move(in));
+}
+
+void InputSet::AddTemp(std::string name, const Schema& schema, int source) {
+  BoundInput in;
+  in.name = ToLower(name);
+  in.temp_schema = &schema;
+  in.temp_source = source;
+  in.extra_base = num_extras_;
+  num_extras_ += schema.num_columns();
   inputs_.push_back(std::move(in));
 }
 
@@ -73,14 +77,13 @@ void InputSet::FillFromStandard(JoinRow& row, int input,
   row.slots[static_cast<size_t>(in.slot)] = rec;
 }
 
-void InputSet::FillFromTemp(JoinRow& row, int input,
+void InputSet::FillFromTemp(JoinRow& row, int input, const TempTable& temp,
                             const TempTuple& tuple) const {
   const BoundInput& in = inputs_[static_cast<size_t>(input)];
-  STRIP_CHECK(in.temp != nullptr);
-  int n = in.temp->schema().num_columns();
+  STRIP_CHECK(in.is_temp());
+  int n = in.temp_schema->num_columns();
   for (int c = 0; c < n; ++c) {
-    row.extras[static_cast<size_t>(in.extra_base + c)] =
-        in.temp->Get(tuple, c);
+    row.extras[static_cast<size_t>(in.extra_base + c)] = temp.Get(tuple, c);
   }
 }
 

@@ -14,12 +14,15 @@
 
 namespace strip {
 
-/// One resolved FROM-clause input: a standard table or a temporary
-/// (transition / bound) table, with its position in intermediate join rows.
+/// One resolved FROM-clause input: a standard table, or a temporary
+/// (transition / bound) table known at plan time only by its schema and
+/// bound by position at each execution, with its position in intermediate
+/// join rows.
 struct BoundInput {
   std::string name;               // effective (alias or table) name, lowered
-  Table* table = nullptr;         // exactly one of table / temp is set
-  const TempTable* temp = nullptr;
+  Table* table = nullptr;         // standard input; null for a temp input
+  const Schema* temp_schema = nullptr;  // temp input: the placeholder schema
+  int temp_source = -1;           // temp input: its position in the binding
 
   /// Standard tables contribute one RecordRef slot to join rows; temp
   /// tables have their columns copied into the join row's extras array.
@@ -27,12 +30,9 @@ struct BoundInput {
   int extra_base = -1;
 
   const Schema& schema() const {
-    return table != nullptr ? table->schema() : temp->schema();
+    return table != nullptr ? table->schema() : *temp_schema;
   }
-  size_t EstimatedRows() const {
-    return table != nullptr ? table->size() : temp->size();
-  }
-  bool is_temp() const { return temp != nullptr; }
+  bool is_temp() const { return table == nullptr; }
 };
 
 /// Identifies a column of one bound input.
@@ -55,8 +55,12 @@ struct JoinRow {
 /// column references.
 class InputSet {
  public:
-  /// Adds an input; assigns slot / extra_base positions.
-  void Add(std::string name, Table* table, const TempTable* temp);
+  /// Adds a standard input; assigns its slot position.
+  void Add(std::string name, Table* table);
+  /// Adds a temp input read through `schema` (borrowed; must outlive the
+  /// set) whose table is bound per execution at position `source`;
+  /// assigns its extras positions.
+  void AddTemp(std::string name, const Schema& schema, int source);
 
   const std::vector<BoundInput>& inputs() const { return inputs_; }
   int num_slots() const { return num_slots_; }
@@ -70,10 +74,11 @@ class InputSet {
   /// Reads the accessor's value from a join row.
   const Value& Read(const JoinRow& row, const ColumnAccessor& acc) const;
 
-  /// Fills the join-row positions of input `i` from its scan row.
-  /// For standard inputs `rec` is used; for temp inputs `tuple`.
+  /// Fills the join-row positions of input `i` from its scan row: a
+  /// standard input's record, or a tuple of the temp table bound to it.
   void FillFromStandard(JoinRow& row, int input, const RecordRef& rec) const;
-  void FillFromTemp(JoinRow& row, int input, const TempTuple& tuple) const;
+  void FillFromTemp(JoinRow& row, int input, const TempTable& temp,
+                    const TempTuple& tuple) const;
 
  private:
   std::vector<BoundInput> inputs_;

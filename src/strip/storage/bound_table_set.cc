@@ -27,21 +27,6 @@ TempTable* BoundTableSet::FindMutable(const std::string& name) {
   return nullptr;
 }
 
-Status BoundTableSet::MergeFrom(BoundTableSet&& other) {
-  if (other.tables_.size() != tables_.size()) {
-    return Status::Internal("bound table set cardinality mismatch in merge");
-  }
-  for (auto& t : other.tables_) {
-    TempTable* mine = FindMutable(t.name());
-    if (mine == nullptr) {
-      return Status::Internal(StrFormat(
-          "bound table '%s' missing in merge target", t.name().c_str()));
-    }
-    STRIP_RETURN_IF_ERROR(mine->AppendFrom(std::move(t)));
-  }
-  return Status::OK();
-}
-
 size_t BoundTableSet::TotalTuples() const {
   size_t n = 0;
   for (const auto& t : tables_) n += t.size();

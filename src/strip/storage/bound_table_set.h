@@ -28,11 +28,6 @@ class BoundTableSet {
   const TempTable* Find(const std::string& name) const;
   TempTable* FindMutable(const std::string& name);
 
-  /// Appends every table of `other` into the same-named table here — the
-  /// unique-transaction batching merge. Requires both sets to have the same
-  /// table names with identical schemas/layouts.
-  Status MergeFrom(BoundTableSet&& other);
-
   size_t size() const { return tables_.size(); }
   const std::vector<TempTable>& tables() const { return tables_; }
   std::vector<TempTable>& tables() { return tables_; }

@@ -58,23 +58,9 @@ void TempTable::Append(TempTuple t) {
   tuples_.push_back(std::move(t));
 }
 
-Status TempTable::AppendFrom(TempTable&& other) {
-  if (!schema_.Equals(other.schema_)) {
-    return Status::Internal(StrFormat(
-        "bound-table merge schema mismatch for '%s'", name_.c_str()));
-  }
-  if (num_slots_ != other.num_slots_ || num_extra_ != other.num_extra_ ||
-      map_ != other.map_) {
-    return Status::Internal(StrFormat(
-        "bound-table merge layout mismatch for '%s'", name_.c_str()));
-  }
-  // No exact-size reserve here: bound tables receive many small merges
-  // (one per batched firing), and reserving to the exact size would force
-  // a reallocation per merge — quadratic over a burst. Geometric vector
-  // growth keeps the merge amortized O(rows appended).
-  for (auto& t : other.tuples_) tuples_.push_back(std::move(t));
-  other.tuples_.clear();
-  return Status::OK();
+bool TempTable::SameLayout(const TempTable& other) const {
+  return num_slots_ == other.num_slots_ && num_extra_ == other.num_extra_ &&
+         map_ == other.map_ && schema_.Equals(other.schema_);
 }
 
 std::vector<Value> TempTable::MaterializeRow(size_t i) const {

@@ -94,11 +94,12 @@ class TempTable {
   /// transition tables over a batched transaction's log).
   void Reserve(size_t n) { tuples_.reserve(n); }
 
-  /// Appends (moves) all tuples of `other` — the unique-transaction
-  /// bound-table merge (§2, §6.3). Requires identical schema AND identical
-  /// layout; bound tables merged this way come from identically defined
-  /// rule queries, which the rule engine enforces at rule-creation time.
-  Status AppendFrom(TempTable&& other);
+  /// True when `other` has an equal schema and the same column layout, so
+  /// its tuples can be appended here as they are — the unique-transaction
+  /// bound-table merge (§2, §6.3). Bound tables merged this way come from
+  /// identically defined rule queries, which the rule engine enforces at
+  /// rule-creation time.
+  bool SameLayout(const TempTable& other) const;
 
   /// Copies out row `i` as plain values.
   std::vector<Value> MaterializeRow(size_t i) const;

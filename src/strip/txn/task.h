@@ -91,7 +91,7 @@ class TaskControlBlock {
   TraceContext trace;
   /// Trace ids of firings merged into this queued unique task after
   /// creation (§6.3): the causal links that would otherwise vanish when
-  /// MergeOrCreate folds a firing away. Guarded by merge_lock.
+  /// MergeFiring folds a firing away. Guarded by merge_lock.
   std::vector<uint64_t> merged_parent_traces;
 
   // --- per-rule cost attribution ----------------------------------------

@@ -29,8 +29,8 @@ Schema BC() {
 class PlanTest : public ::testing::Test {
  protected:
   PlanTest() : t1_("t1", AB()), t2_("t2", BC()) {
-    inputs_.Add("t1", &t1_, nullptr);
-    inputs_.Add("t2", &t2_, nullptr);
+    inputs_.Add("t1", &t1_);
+    inputs_.Add("t2", &t2_);
   }
 
   ExprPtr Parse(const std::string& text) {
@@ -84,8 +84,8 @@ TEST_F(PlanTest, JoinRowReadThroughSlotsAndExtras) {
   ts.AddColumn("x", ValueType::kInt);
   TempTable temp = TempTable::Materialized("tmp", ts);
   InputSet mixed;
-  mixed.Add("t1", &t1_, nullptr);
-  mixed.Add("tmp", nullptr, &temp);
+  mixed.Add("t1", &t1_);
+  mixed.AddTemp("tmp", temp.schema(), /*source=*/0);
   EXPECT_EQ(mixed.num_slots(), 1);
   EXPECT_EQ(mixed.num_extras(), 1);
 
@@ -95,7 +95,7 @@ TEST_F(PlanTest, JoinRowReadThroughSlotsAndExtras) {
   RecordRef rec = MakeRecord({Value::Int(7), Value::Str("s")});
   mixed.FillFromStandard(row, 0, rec);
   TempTuple tup{{}, {Value::Int(42)}};
-  mixed.FillFromTemp(row, 1, tup);
+  mixed.FillFromTemp(row, 1, temp, tup);
 
   ASSERT_OK_AND_ASSIGN(ColumnAccessor a, mixed.Resolve("t1", "a"));
   EXPECT_EQ(mixed.Read(row, a), Value::Int(7));

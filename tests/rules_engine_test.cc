@@ -387,5 +387,68 @@ TEST_F(RulesEngineTest, SelectStarOverTransitionTable) {
   EXPECT_EQ(a.rows[0][2], Value::Int(2));
 }
 
+TEST_F(RulesEngineTest, FailedCommitLeavesNoOrphanedUniqueTask) {
+  // A commit whose later rule fails must not leave an earlier rule's
+  // unique task registered: nothing would ever submit it, every later
+  // firing for its key would merge into it, and the key's action would
+  // never run again.
+  ASSERT_OK(db_.ExecuteScript("create table x (k string)"));
+  ASSERT_OK(db_.RegisterFunction(
+      "noop", [](FunctionContext&) { return Status::OK(); }));
+  ASSERT_OK(db_.Execute(R"(
+    create rule ra on t when inserted
+    if select 'ra' as what, k, v, execute_order as seq from inserted
+       bind as seen
+    then execute spy unique on k after 1 seconds
+  )").status());
+  ASSERT_OK(db_.Execute(R"(
+    create rule rb on t when inserted
+    if select k from x
+    then execute noop
+  )").status());
+  ASSERT_OK(db_.ExecuteScript("drop table x"));
+  EXPECT_EQ(db_.Execute("insert into t values ('a', 1)").status().code(),
+            StatusCode::kNotFound);
+  ASSERT_OK(db_.ExecuteScript("create table x (k string)"));
+  ASSERT_OK(db_.Execute("insert into t values ('a', 2)").status());
+  db_.simulated()->RunUntilQuiescent();
+
+  ResultSet a = Audit();
+  ASSERT_EQ(a.num_rows(), 1u);
+  EXPECT_EQ(a.rows[0][1], Value::Str("a"));
+  EXPECT_EQ(a.rows[0][2], Value::Int(2));
+  EXPECT_EQ(db_.rules().stats().firings_merged, 0u);
+  EXPECT_EQ(db_.rules().unique_manager().NumQueued("spy"), 0u);
+}
+
+TEST_F(RulesEngineTest, ConditionOnMissingTableFailsUntilItExists) {
+  // The rule's plans are rebuilt per catalog generation, and a build error
+  // is kept: every commit fails with it until DDL brings the table back.
+  ASSERT_OK(db_.ExecuteScript("create table x (k string)"));
+  ASSERT_OK(db_.Execute(R"(
+    create rule r on t when inserted
+    if select 'r' as what, inserted.k as k, inserted.v as v,
+              execute_order as seq
+       from inserted, x where inserted.k = x.k
+       bind as seen
+    then execute spy
+  )").status());
+  ASSERT_OK(db_.ExecuteScript("drop table x"));
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(db_.Execute("insert into t values ('a', 1)").status().code(),
+              StatusCode::kNotFound);
+  }
+  ASSERT_OK(db_.ExecuteScript(R"(
+    create table x (k string);
+    insert into x values ('a');
+  )"));
+  ASSERT_OK(db_.Execute("insert into t values ('a', 2)").status());
+  db_.simulated()->RunUntilQuiescent();
+  ResultSet a = Audit();
+  ASSERT_EQ(a.num_rows(), 1u);  // the failed commits left nothing behind
+  EXPECT_EQ(a.rows[0][2], Value::Int(2));
+  EXPECT_EQ(db_.rules().stats().conditions_true, 1u);
+}
+
 }  // namespace
 }  // namespace strip

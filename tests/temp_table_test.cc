@@ -85,24 +85,13 @@ TEST(TempTableTest, MaterializeWholeTable) {
   EXPECT_NE(rs.ToString().find("a\t1\t1"), std::string::npos);
 }
 
-TEST(TempTableTest, AppendFromMovesTuples) {
-  TempTable a = PointerBacked("x");
-  TempTable b = PointerBacked("x");
-  a.Append(TempTuple{{MakeRecord({Value::Str("a"), Value::Double(1)})},
-                     {Value::Int(1)}});
-  b.Append(TempTuple{{MakeRecord({Value::Str("b"), Value::Double(2)})},
-                     {Value::Int(2)}});
-  b.Append(TempTuple{{MakeRecord({Value::Str("c"), Value::Double(3)})},
-                     {Value::Int(3)}});
-  ASSERT_OK(a.AppendFrom(std::move(b)));
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.Get(2, 0), Value::Str("c"));
-}
-
-TEST(TempTableTest, AppendFromRejectsSchemaMismatch) {
-  TempTable a = PointerBacked("x");
-  TempTable b = TempTable::Materialized("x", BaseSchema());
-  EXPECT_EQ(a.AppendFrom(std::move(b)).code(), StatusCode::kInternal);
+TEST(TempTableTest, SameLayoutComparesSchemaAndColumnMap) {
+  EXPECT_TRUE(PointerBacked("x").SameLayout(PointerBacked("x")));
+  // Same schema, different layout: not appendable as is.
+  EXPECT_FALSE(PointerBacked("x").SameLayout(
+      TempTable::Materialized("x", PointerBacked("x").schema())));
+  EXPECT_FALSE(PointerBacked("x").SameLayout(
+      TempTable::Materialized("x", BaseSchema())));
 }
 
 TEST(TempTableTest, CloneSharesRecordsButNotTuples) {
@@ -125,33 +114,6 @@ TEST(BoundTableSetTest, AddAndFindByName) {
   EXPECT_EQ(set.Find("other"), nullptr);
   EXPECT_EQ(set.Add(PointerBacked("matches")).code(),
             StatusCode::kAlreadyExists);
-}
-
-TEST(BoundTableSetTest, MergeAppendsSameNamedTables) {
-  BoundTableSet a, b;
-  TempTable ta = PointerBacked("matches");
-  ta.Append(TempTuple{{MakeRecord({Value::Str("a"), Value::Double(1)})},
-                      {Value::Int(1)}});
-  ASSERT_OK(a.Add(std::move(ta)));
-  TempTable tb = PointerBacked("matches");
-  tb.Append(TempTuple{{MakeRecord({Value::Str("b"), Value::Double(2)})},
-                      {Value::Int(2)}});
-  ASSERT_OK(b.Add(std::move(tb)));
-
-  ASSERT_OK(a.MergeFrom(std::move(b)));
-  EXPECT_EQ(a.Find("matches")->size(), 2u);
-  EXPECT_EQ(a.TotalTuples(), 2u);
-}
-
-TEST(BoundTableSetTest, MergeRejectsDifferentShapes) {
-  BoundTableSet a, b;
-  ASSERT_OK(a.Add(PointerBacked("x")));
-  ASSERT_OK(b.Add(PointerBacked("y")));
-  EXPECT_EQ(a.MergeFrom(std::move(b)).code(), StatusCode::kInternal);
-
-  BoundTableSet c, d;
-  ASSERT_OK(c.Add(PointerBacked("x")));
-  EXPECT_EQ(c.MergeFrom(std::move(d)).code(), StatusCode::kInternal);
 }
 
 }  // namespace

@@ -141,6 +141,77 @@ TEST(ThreadedIntegrationTest, EveryUniqueFiringCountedOnceCreatedOrMerged) {
             static_cast<uint64_t>(kThreads * kCommitsPerThread));
 }
 
+TEST(ThreadedIntegrationTest, RulePlansRebuildUnderConcurrentDdl) {
+  // Commits fire a unique rule while DDL keeps changing the catalog
+  // generation, so firings race to rebuild the rule's cached plans: one
+  // index on the table the condition joins, then a side table created
+  // with an index and dropped, over and over. (There is no DROP INDEX.)
+  // Every firing still creates or merges exactly once and the actions see
+  // every row.
+  Database db(Threaded(2));
+  ASSERT_OK(db.ExecuteScript(R"(
+    create table ticks (id int, v double);
+    create index on ticks (id);
+    create table names (id int, name string);
+    insert into ticks values (0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0);
+    insert into names values (0, 'a'), (1, 'b'), (2, 'c'), (3, 'd');
+  )"));
+  std::atomic<uint64_t> rows_seen{0};
+  ASSERT_OK(db.RegisterFunction("count_rows", [&](FunctionContext& ctx) {
+    rows_seen += ctx.BoundTable("d")->size();
+    return Status::OK();
+  }));
+  ASSERT_OK(db.Execute(R"(
+    create rule r on ticks when updated v
+    if select name, new.v as v from new, names where names.id = new.id
+       bind as d
+    then execute count_rows unique on name after 0.01 seconds
+  )").status());
+
+  constexpr int kThreads = 4;
+  constexpr int kCommitsPerThread = 25;
+  std::atomic<bool> stop{false};
+  std::thread ddl([&db, &stop] {
+    bool indexed = false;
+    for (int i = 0; !stop.load(); ++i) {
+      if (!indexed) {
+        ASSERT_OK(db.Execute("create index on names (id)").status());
+        indexed = true;
+      }
+      ASSERT_OK(db.ExecuteScript(
+          "create table churn (k int); create index on churn (k); "
+          "drop table churn"));
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kThreads; ++w) {
+    writers.emplace_back([&db, w] {
+      for (int i = 0; i < kCommitsPerThread; ++i) {
+        for (;;) {
+          auto r = db.Execute("update ticks set v += 1.0 where id = " +
+                              std::to_string(w));
+          if (r.ok()) break;
+          ASSERT_EQ(r.status().code(), StatusCode::kAborted)
+              << r.status().ToString();
+          std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop = true;
+  ddl.join();
+  db.threaded()->Drain();
+
+  const RuleStats& stats = db.rules().stats();
+  EXPECT_EQ(stats.tasks_created.load() + stats.firings_merged.load(),
+            static_cast<uint64_t>(kThreads * kCommitsPerThread));
+  EXPECT_EQ(rows_seen.load(),
+            static_cast<uint64_t>(kThreads * kCommitsPerThread));
+  EXPECT_EQ(db.executor().stats().tasks_failed.load(), 0u);
+}
+
 TEST(ThreadedIntegrationTest, ActionRetriesAfterWaitDieAbort) {
   // A rule action that conflicts with a long-running older transaction
   // must retry (fresh, younger transaction each time) and eventually

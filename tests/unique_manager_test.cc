@@ -32,14 +32,24 @@ std::vector<Value> Strs(std::initializer_list<const char*> vs) {
   return out;
 }
 
+/// Rows bound table `name` of `set` contributes to key `k` of `parts`.
+size_t RowsOf(const UniquePartition& parts, const BoundTableSet& set,
+              size_t k, const std::string& name) {
+  for (size_t t = 0; t < set.tables().size(); ++t) {
+    if (set.tables()[t].name() == name) return parts.Rows(k, t).size();
+  }
+  ADD_FAILURE() << "no bound table " << name;
+  return 0;
+}
+
 TEST(PartitionTest, EmptyUniqueColumnsGivesOnePartition) {
   BoundTableSet set;
   ASSERT_OK(set.Add(MakeBound("m", {"comp"}, {Strs({"c1"}), Strs({"c2"})})));
-  ASSERT_OK_AND_ASSIGN(auto parts,
-                       PartitionByUniqueColumns(std::move(set), {}));
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_TRUE(parts[0].first.empty());
-  EXPECT_EQ(parts[0].second.Find("m")->size(), 2u);
+  ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                       PartitionByUniqueColumns(set, {}));
+  ASSERT_EQ(parts.keys.size(), 1u);
+  EXPECT_TRUE(parts.keys[0].values.empty());
+  EXPECT_EQ(RowsOf(parts, set, 0, "m"), 2u);
 }
 
 TEST(PartitionTest, SingleTablePartitionsByDistinctValues) {
@@ -48,13 +58,13 @@ TEST(PartitionTest, SingleTablePartitionsByDistinctValues) {
   ASSERT_OK(set.Add(MakeBound("matches", {"comp", "sym"},
                               {Strs({"c1", "s1"}), Strs({"c2", "s1"}),
                                Strs({"c2", "s2"})})));
-  ASSERT_OK_AND_ASSIGN(auto parts,
-                       PartitionByUniqueColumns(std::move(set), {"comp"}));
-  ASSERT_EQ(parts.size(), 2u);
-  size_t c1 = parts[0].first[0] == Value::Str("c1") ? 0 : 1;
+  ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                       PartitionByUniqueColumns(set, {"comp"}));
+  ASSERT_EQ(parts.keys.size(), 2u);
+  size_t c1 = parts.keys[0].values[0] == Value::Str("c1") ? 0 : 1;
   size_t c2 = 1 - c1;
-  EXPECT_EQ(parts[c1].second.Find("matches")->size(), 1u);
-  EXPECT_EQ(parts[c2].second.Find("matches")->size(), 2u);
+  EXPECT_EQ(RowsOf(parts, set, c1, "matches"), 1u);
+  EXPECT_EQ(RowsOf(parts, set, c2, "matches"), 2u);
 }
 
 TEST(PartitionTest, TablesWithoutUniqueColumnsArePassedWhole) {
@@ -62,12 +72,12 @@ TEST(PartitionTest, TablesWithoutUniqueColumnsArePassedWhole) {
   BoundTableSet set;
   ASSERT_OK(set.Add(MakeBound("m", {"comp"}, {Strs({"c1"}), Strs({"c2"})})));
   ASSERT_OK(set.Add(MakeBound("aux", {"x"}, {Strs({"a"}), Strs({"b"})})));
-  ASSERT_OK_AND_ASSIGN(auto parts,
-                       PartitionByUniqueColumns(std::move(set), {"comp"}));
-  ASSERT_EQ(parts.size(), 2u);
-  for (const auto& [key, tables] : parts) {
-    EXPECT_EQ(tables.Find("m")->size(), 1u);
-    EXPECT_EQ(tables.Find("aux")->size(), 2u);
+  ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                       PartitionByUniqueColumns(set, {"comp"}));
+  ASSERT_EQ(parts.keys.size(), 2u);
+  for (size_t k = 0; k < parts.keys.size(); ++k) {
+    EXPECT_EQ(RowsOf(parts, set, k, "m"), 1u);
+    EXPECT_EQ(RowsOf(parts, set, k, "aux"), 2u);
   }
 }
 
@@ -76,15 +86,16 @@ TEST(PartitionTest, MultiColumnKeyWithinOneTable) {
   ASSERT_OK(set.Add(MakeBound("m", {"a", "b"},
                               {Strs({"x", "1"}), Strs({"x", "2"}),
                                Strs({"x", "1"})})));
-  ASSERT_OK_AND_ASSIGN(auto parts,
-                       PartitionByUniqueColumns(std::move(set), {"a", "b"}));
-  ASSERT_EQ(parts.size(), 2u);
-  for (const auto& [key, tables] : parts) {
+  ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                       PartitionByUniqueColumns(set, {"a", "b"}));
+  ASSERT_EQ(parts.keys.size(), 2u);
+  for (size_t k = 0; k < parts.keys.size(); ++k) {
+    const std::vector<Value>& key = parts.keys[k].values;
     ASSERT_EQ(key.size(), 2u);
     if (key[1] == Value::Str("1")) {
-      EXPECT_EQ(tables.Find("m")->size(), 2u);
+      EXPECT_EQ(RowsOf(parts, set, k, "m"), 2u);
     } else {
-      EXPECT_EQ(tables.Find("m")->size(), 1u);
+      EXPECT_EQ(RowsOf(parts, set, k, "m"), 1u);
     }
   }
 }
@@ -95,54 +106,94 @@ TEST(PartitionTest, UniqueColumnsSpanningTwoTablesCrossProduct) {
   BoundTableSet set;
   ASSERT_OK(set.Add(MakeBound("m1", {"a"}, {Strs({"x"}), Strs({"y"})})));
   ASSERT_OK(set.Add(MakeBound("m2", {"b"}, {Strs({"1"}), Strs({"2"})})));
-  ASSERT_OK_AND_ASSIGN(auto parts,
-                       PartitionByUniqueColumns(std::move(set), {"a", "b"}));
-  ASSERT_EQ(parts.size(), 4u);  // {x,y} x {1,2}
-  for (const auto& [key, tables] : parts) {
-    EXPECT_EQ(tables.Find("m1")->size(), 1u);
-    EXPECT_EQ(tables.Find("m2")->size(), 1u);
+  ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                       PartitionByUniqueColumns(set, {"a", "b"}));
+  ASSERT_EQ(parts.keys.size(), 4u);  // {x,y} x {1,2}
+  for (size_t k = 0; k < parts.keys.size(); ++k) {
+    EXPECT_EQ(RowsOf(parts, set, k, "m1"), 1u);
+    EXPECT_EQ(RowsOf(parts, set, k, "m2"), 1u);
   }
 }
 
 TEST(PartitionTest, KeyOrderFollowsUniqueColumnsDeclaration) {
   BoundTableSet set;
   ASSERT_OK(set.Add(MakeBound("m", {"a", "b"}, {Strs({"x", "1"})})));
-  ASSERT_OK_AND_ASSIGN(auto parts,
-                       PartitionByUniqueColumns(std::move(set), {"b", "a"}));
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0].first[0], Value::Str("1"));  // b first
-  EXPECT_EQ(parts[0].first[1], Value::Str("x"));
+  ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                       PartitionByUniqueColumns(set, {"b", "a"}));
+  ASSERT_EQ(parts.keys.size(), 1u);
+  EXPECT_EQ(parts.keys[0].values[0], Value::Str("1"));  // b first
+  EXPECT_EQ(parts.keys[0].values[1], Value::Str("x"));
 }
 
 TEST(PartitionTest, EmptyUniqueTableYieldsNoPartitions) {
   BoundTableSet set;
   ASSERT_OK(set.Add(MakeBound("m", {"comp"}, {})));
-  ASSERT_OK_AND_ASSIGN(auto parts,
-                       PartitionByUniqueColumns(std::move(set), {"comp"}));
-  EXPECT_TRUE(parts.empty());
+  ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                       PartitionByUniqueColumns(set, {"comp"}));
+  EXPECT_TRUE(parts.keys.empty());
 }
 
 TEST(PartitionTest, Errors) {
   {
     BoundTableSet set;
     ASSERT_OK(set.Add(MakeBound("m", {"a"}, {Strs({"x"})})));
-    EXPECT_EQ(PartitionByUniqueColumns(std::move(set), {"nope"})
-                  .status().code(),
+    EXPECT_EQ(PartitionByUniqueColumns(set, {"nope"}).status().code(),
               StatusCode::kNotFound);
   }
   {
     BoundTableSet set;
     ASSERT_OK(set.Add(MakeBound("m1", {"a"}, {Strs({"x"})})));
     ASSERT_OK(set.Add(MakeBound("m2", {"a"}, {Strs({"y"})})));
-    EXPECT_EQ(PartitionByUniqueColumns(std::move(set), {"a"})
-                  .status().code(),
+    EXPECT_EQ(PartitionByUniqueColumns(set, {"a"}).status().code(),
               StatusCode::kInvalidArgument);  // ambiguous column home
   }
+}
+
+TEST(PartitionTest, GroupsKeepTableOrderAndNameTheirLastKey) {
+  // Rows of one key keep their order in the firing (compute_options2
+  // reads later rows as superseding earlier ones); a group shared by
+  // several keys of the cross product is moved into the last of them.
+  BoundTableSet set;
+  ASSERT_OK(set.Add(MakeBound("m1", {"a", "n"},
+                              {Strs({"x", "1"}), Strs({"y", "2"}),
+                               Strs({"x", "3"})})));
+  ASSERT_OK(set.Add(MakeBound("m2", {"b"}, {Strs({"p"}), Strs({"q"})})));
+  ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                       PartitionByUniqueColumns(set, {"a", "b"}));
+  ASSERT_EQ(parts.keys.size(), 4u);
+  // First table varies fastest: (x,p) (y,p) (x,q) (y,q).
+  EXPECT_EQ(parts.keys[0].values, Strs({"x", "p"}));
+  EXPECT_EQ(parts.keys[1].values, Strs({"y", "p"}));
+  EXPECT_EQ(parts.keys[2].values, Strs({"x", "q"}));
+  EXPECT_EQ(parts.keys[3].values, Strs({"y", "q"}));
+  EXPECT_EQ(parts.Rows(0, 0), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(parts.Rows(1, 0), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(parts.last_key[0], (std::vector<uint32_t>{2, 3}));
+  EXPECT_EQ(parts.last_key[1], (std::vector<uint32_t>{1, 3}));
 }
 
 // ---------------------------------------------------------------------------
 // UniqueTxnManager
 // ---------------------------------------------------------------------------
+
+/// Partitions, checks and merges one firing the way the rule engine does;
+/// returns the task it created for its single key, or nullptr when the
+/// firing merged into the queued one.
+TaskPtr FireOnce(UniqueTxnManager& mgr, const std::string& fn,
+                 BoundTableSet tables,
+                 const std::vector<std::string>& unique_columns,
+                 const UniqueTxnManager::TaskFactory& factory) {
+  auto parts = PartitionByUniqueColumns(tables, unique_columns);
+  EXPECT_TRUE(parts.ok()) << parts.status().ToString();
+  if (!parts.ok()) return nullptr;
+  UniqueTxnManager::FunctionQueue* queue = mgr.EnsureFunction(fn);
+  EXPECT_OK(mgr.CheckMergeable(queue, tables, *parts));
+  std::vector<TaskPtr> created;
+  mgr.MergeFiring(queue, std::move(tables), *parts, /*change_time=*/0,
+                  /*parent_trace_id=*/0, factory, created);
+  EXPECT_LE(created.size(), 1u);
+  return created.empty() ? nullptr : created[0];
+}
 
 class UniqueTxnManagerTest : public ::testing::Test {
  protected:
@@ -162,14 +213,19 @@ class UniqueTxnManagerTest : public ::testing::Test {
     };
   }
 
+  /// One firing of `tables` for `fn`, keyed on the `comp` column (or on
+  /// nothing, for coarse `unique`).
+  TaskPtr Fire(const std::string& fn, BoundTableSet tables,
+               std::vector<std::string> unique_columns = {"comp"}) {
+    return FireOnce(mgr_, fn, std::move(tables), unique_columns, Factory());
+  }
+
   UniqueTxnManager mgr_;
   uint64_t next_id_ = 1;
 };
 
 TEST_F(UniqueTxnManagerTest, FirstFiringCreatesTask) {
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                    OneRowSet("c1"), 0, Factory()));
+  TaskPtr t = Fire("fn", OneRowSet("c1"));
   ASSERT_NE(t, nullptr);
   EXPECT_TRUE(t->is_unique);
   EXPECT_EQ(t->unique_key[0], Value::Str("c1"));
@@ -177,24 +233,16 @@ TEST_F(UniqueTxnManagerTest, FirstFiringCreatesTask) {
 }
 
 TEST_F(UniqueTxnManagerTest, SecondFiringMergesIntoQueuedTask) {
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t1, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                     OneRowSet("c1"), 0, Factory()));
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t2, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                     OneRowSet("c1"), 0, Factory()));
+  TaskPtr t1 = Fire("fn", OneRowSet("c1"));
+  TaskPtr t2 = Fire("fn", OneRowSet("c1"));
   EXPECT_EQ(t2, nullptr);  // merged, nothing to submit
   EXPECT_EQ(t1->bound_tables.Find("m")->size(), 2u);
   EXPECT_EQ(mgr_.NumQueued("fn"), 1u);
 }
 
 TEST_F(UniqueTxnManagerTest, DifferentKeysGetDifferentTasks) {
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t1, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                     OneRowSet("c1"), 0, Factory()));
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t2, mgr_.MergeOrCreate("fn", {Value::Str("c2")},
-                                     OneRowSet("c2"), 0, Factory()));
+  TaskPtr t1 = Fire("fn", OneRowSet("c1"));
+  TaskPtr t2 = Fire("fn", OneRowSet("c2"));
   EXPECT_NE(t1, nullptr);
   EXPECT_NE(t2, nullptr);
   EXPECT_NE(t1, t2);
@@ -202,10 +250,8 @@ TEST_F(UniqueTxnManagerTest, DifferentKeysGetDifferentTasks) {
 }
 
 TEST_F(UniqueTxnManagerTest, DifferentFunctionsAreIndependent) {
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t1, mgr_.MergeOrCreate("fn_a", {}, OneRowSet("c"), 0, Factory()));
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t2, mgr_.MergeOrCreate("fn_b", {}, OneRowSet("c"), 0, Factory()));
+  TaskPtr t1 = Fire("fn_a", OneRowSet("c"), {});
+  TaskPtr t2 = Fire("fn_b", OneRowSet("c"), {});
   EXPECT_NE(t1, nullptr);
   EXPECT_NE(t2, nullptr);
   EXPECT_EQ(mgr_.NumQueued("fn_a"), 1u);
@@ -213,33 +259,88 @@ TEST_F(UniqueTxnManagerTest, DifferentFunctionsAreIndependent) {
 }
 
 TEST_F(UniqueTxnManagerTest, StartedTaskNoLongerAcceptsMerges) {
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t1, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                     OneRowSet("c1"), 0, Factory()));
+  TaskPtr t1 = Fire("fn", OneRowSet("c1"));
   ASSERT_TRUE(t1->TryStart());  // executor picks it up
   // A firing after the start must create a FRESH task (§2).
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t2, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                     OneRowSet("c1"), 0, Factory()));
+  TaskPtr t2 = Fire("fn", OneRowSet("c1"));
   ASSERT_NE(t2, nullptr);
   EXPECT_NE(t1, t2);
   EXPECT_EQ(t1->bound_tables.Find("m")->size(), 1u);  // untouched
 }
 
 TEST_F(UniqueTxnManagerTest, OnTaskStartRemovesHashEntry) {
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t1, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                     OneRowSet("c1"), 0, Factory()));
+  TaskPtr t1 = Fire("fn", OneRowSet("c1"));
   mgr_.OnTaskStart(*t1);
   EXPECT_EQ(mgr_.NumQueued("fn"), 0u);
   mgr_.OnTaskStart(*t1);  // idempotent
   // Next firing creates a new task.
-  ASSERT_OK_AND_ASSIGN(
-      TaskPtr t2, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                     OneRowSet("c1"), 0, Factory()));
+  TaskPtr t2 = Fire("fn", OneRowSet("c1"));
   EXPECT_NE(t2, nullptr);
   // OnTaskStart for a superseded task must not remove the new entry.
   mgr_.OnTaskStart(*t1);
+  EXPECT_EQ(mgr_.NumQueued("fn"), 1u);
+}
+
+TEST_F(UniqueTxnManagerTest, OneFiringMergesEachKeyInOrder) {
+  // The PTA shape: one firing carries rows for several keys, each already
+  // queued. Every key merges (no task created) and its rows land after the
+  // queued ones, in firing order.
+  auto firing = [](std::vector<std::vector<Value>> rows) {
+    BoundTableSet set;
+    Status st = set.Add(MakeBound("m", {"comp", "seq"}, rows));
+    EXPECT_TRUE(st.ok());
+    return set;
+  };
+  auto fire = [&](BoundTableSet set, std::vector<TaskPtr>& created) {
+    auto parts = PartitionByUniqueColumns(set, {"comp"});
+    EXPECT_TRUE(parts.ok());
+    UniqueTxnManager::FunctionQueue* queue = mgr_.EnsureFunction("fn");
+    EXPECT_OK(mgr_.CheckMergeable(queue, set, *parts));
+    return mgr_.MergeFiring(queue, std::move(set), *parts, 0, 0, Factory(),
+                            created);
+  };
+  std::vector<TaskPtr> created;
+  EXPECT_EQ(fire(firing({Strs({"c1", "0"}), Strs({"c2", "0"})}), created),
+            0u);
+  ASSERT_EQ(created.size(), 2u);
+  std::vector<TaskPtr> none;
+  EXPECT_EQ(fire(firing({Strs({"c2", "1"}), Strs({"c1", "2"}),
+                         Strs({"c2", "3"})}),
+                 none),
+            2u);
+  EXPECT_TRUE(none.empty());
+  auto seqs = [](const TaskPtr& t) {
+    std::vector<Value> out;
+    const TempTable* m = t->bound_tables.Find("m");
+    for (size_t i = 0; i < m->size(); ++i) out.push_back(m->Get(i, 1));
+    return out;
+  };
+  EXPECT_EQ(seqs(created[0]), Strs({"0", "2"}));
+  EXPECT_EQ(seqs(created[1]), Strs({"0", "1", "3"}));
+  EXPECT_EQ(created[1]->batched_firings, 2u);
+}
+
+TEST_F(UniqueTxnManagerTest, LayoutMismatchFailsTheCheckNotTheMerge) {
+  // A queued task whose bound tables differ in layout cannot take the
+  // firing's rows: the check fails before anything merges, and a merge
+  // that meets such a task anyway replaces it with a fresh one.
+  TaskPtr t1 = Fire("fn", OneRowSet("c1"));
+  ASSERT_NE(t1, nullptr);
+  BoundTableSet wide;
+  ASSERT_OK(wide.Add(MakeBound("m", {"comp", "extra"},
+                               {Strs({"c1", "x"})})));
+  ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                       PartitionByUniqueColumns(wide, {"comp"}));
+  UniqueTxnManager::FunctionQueue* queue = mgr_.EnsureFunction("fn");
+  EXPECT_EQ(mgr_.CheckMergeable(queue, wide, parts).code(),
+            StatusCode::kInternal);
+  std::vector<TaskPtr> created;
+  EXPECT_EQ(mgr_.MergeFiring(queue, std::move(wide), parts, 0, 0, Factory(),
+                             created),
+            0u);
+  ASSERT_EQ(created.size(), 1u);
+  EXPECT_NE(created[0], t1);
+  EXPECT_EQ(t1->bound_tables.Find("m")->size(), 1u);  // untouched
   EXPECT_EQ(mgr_.NumQueued("fn"), 1u);
 }
 
@@ -286,14 +387,12 @@ TEST_F(UniqueTxnManagerTest, ConcurrentMergesNeverLoseRows) {
   for (int t = 0; t < kThreads; ++t) {
     firers.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        auto r = mgr_.MergeOrCreate("fn", {Value::Str("k")},
-                                    OneRowSet("k"), 0, factory);
-        ASSERT_TRUE(r.ok());
+        TaskPtr t = FireOnce(mgr_, "fn", OneRowSet("k"), {"comp"}, factory);
         // Like the rule engine's submit, a created task reaches the
-        // starter only once MergeOrCreate has finished initializing it.
-        if (*r != nullptr) {
+        // starter only once MergeFiring has finished initializing it.
+        if (t != nullptr) {
           SpinLockGuard g(tasks_lock);
-          created.push_back(*r);
+          created.push_back(t);
         }
       }
     });
@@ -333,15 +432,11 @@ TEST_F(UniqueTxnManagerTest, MergedThenFiredUnpinsExactlyOnce) {
   {
     BoundTableSet s1;
     ASSERT_OK(s1.Add(RecordBacked("m", r1)));
-    ASSERT_OK_AND_ASSIGN(
-        TaskPtr task, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                         std::move(s1), 0, Factory()));
+    TaskPtr task = Fire("fn", std::move(s1));
     ASSERT_NE(task, nullptr);
     BoundTableSet s2;
     ASSERT_OK(s2.Add(RecordBacked("m", r2)));
-    ASSERT_OK_AND_ASSIGN(
-        TaskPtr merged, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                           std::move(s2), 0, Factory()));
+    TaskPtr merged = Fire("fn", std::move(s2));
     EXPECT_EQ(merged, nullptr);
     // One pin each: ours plus exactly one inside the queued task — the
     // merge must MOVE the second firing's tuples, not copy them.
@@ -357,6 +452,45 @@ TEST_F(UniqueTxnManagerTest, MergedThenFiredUnpinsExactlyOnce) {
   EXPECT_EQ(r2.use_count(), 1);
 }
 
+TEST_F(UniqueTxnManagerTest, CrossProductCopiesOnlySharedTuples) {
+  // A row under one key is moved into that key's task. A row of a table
+  // holding no unique column goes to every key (Appendix A): copied to all
+  // keys but the last, moved into the last.
+  RecordRef c1 = MakeRecord({Value::Str("c1")});
+  RecordRef c2 = MakeRecord({Value::Str("c2")});
+  RecordRef aux = MakeRecord({Value::Str("a")});
+  {
+    BoundTableSet firing;
+    TempTable m = RecordBacked("m", c1);
+    m.Append(TempTuple{{c2}, {}});
+    ASSERT_OK(firing.Add(std::move(m)));
+    Schema s;
+    s.AddColumn("x", ValueType::kString);
+    TempTable other("aux", std::move(s), {TempColumnMap{0, 0}},
+                    /*num_slots=*/1, /*num_extra=*/0);
+    other.Append(TempTuple{{aux}, {}});
+    ASSERT_OK(firing.Add(std::move(other)));
+    ASSERT_OK_AND_ASSIGN(UniquePartition parts,
+                         PartitionByUniqueColumns(firing, {"comp"}));
+    ASSERT_EQ(parts.keys.size(), 2u);
+    std::vector<TaskPtr> created;
+    mgr_.MergeFiring(mgr_.EnsureFunction("fn"), std::move(firing), parts, 0,
+                     0, Factory(), created);
+    ASSERT_EQ(created.size(), 2u);
+    EXPECT_EQ(c1.use_count(), 2);   // ours + key c1's task
+    EXPECT_EQ(c2.use_count(), 2);   // ours + key c2's task
+    EXPECT_EQ(aux.use_count(), 3);  // ours + one per key
+    for (const TaskPtr& t : created) {
+      EXPECT_EQ(t->bound_tables.Find("m")->size(), 1u);
+      EXPECT_EQ(t->bound_tables.Find("aux")->size(), 1u);
+      ASSERT_TRUE(t->TryStart());
+      mgr_.OnTaskStart(*t);
+    }
+  }
+  EXPECT_EQ(c1.use_count(), 1);
+  EXPECT_EQ(aux.use_count(), 1);
+}
+
 TEST_F(UniqueTxnManagerTest, MergedThenSupersededUnpinsExactlyOnce) {
   RecordRef r1 = MakeRecord({Value::Str("c1")});
   RecordRef r2 = MakeRecord({Value::Str("c1")});
@@ -364,23 +498,17 @@ TEST_F(UniqueTxnManagerTest, MergedThenSupersededUnpinsExactlyOnce) {
   {
     BoundTableSet s1;
     ASSERT_OK(s1.Add(RecordBacked("m", r1)));
-    ASSERT_OK_AND_ASSIGN(
-        TaskPtr t1, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                       std::move(s1), 0, Factory()));
+    TaskPtr t1 = Fire("fn", std::move(s1));
     BoundTableSet s2;
     ASSERT_OK(s2.Add(RecordBacked("m", r2)));
-    ASSERT_OK_AND_ASSIGN(
-        TaskPtr merged, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                           std::move(s2), 0, Factory()));
+    TaskPtr merged = Fire("fn", std::move(s2));
     EXPECT_EQ(merged, nullptr);
 
     // The task starts; a firing racing the start must not land in it.
     ASSERT_TRUE(t1->TryStart());
     BoundTableSet s3;
     ASSERT_OK(s3.Add(RecordBacked("m", r3)));
-    ASSERT_OK_AND_ASSIGN(
-        TaskPtr t2, mgr_.MergeOrCreate("fn", {Value::Str("c1")},
-                                       std::move(s3), 0, Factory()));
+    TaskPtr t2 = Fire("fn", std::move(s3));
     ASSERT_NE(t2, nullptr);  // superseding task
     mgr_.OnTaskStart(*t1);
 
