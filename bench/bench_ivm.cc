@@ -255,8 +255,8 @@ Result<RunResult> RunOnce(const IvmConfig& c, Strategy strat, double delay) {
   }
   RunResult r;
   r.total_seconds = std::chrono::duration<double>(stop - start).count();
-  r.tasks_created = db.rules().stats().tasks_created;
-  r.firings_merged = db.rules().stats().firings_merged;
+  r.tasks_created = db.rules().stats().tasks_created.load();
+  r.firings_merged = db.rules().stats().firings_merged.load();
   return r;
 }
 

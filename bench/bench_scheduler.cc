@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "strip/common/rng.h"
+#include "strip/obs/metrics.h"
 #include "strip/txn/simulated_executor.h"
 
 namespace strip {
@@ -20,7 +21,8 @@ struct PolicyResult {
 };
 
 PolicyResult RunPolicy(SchedulingPolicy policy, double load, uint64_t seed) {
-  SimulatedExecutor ex(policy, /*advance_clock_by_cost=*/true);
+  MetricsRegistry metrics;
+  SimulatedExecutor ex(metrics, policy, /*advance_clock_by_cost=*/true);
   Rng rng(seed);
   PolicyResult result;
 

@@ -89,8 +89,10 @@ int main() {
   db.simulated()->RunUntil(SecondsToMicros(2.0));
 
   std::printf("after (%llu recompute task(s), %llu firing(s) merged):\n%s",
-              static_cast<unsigned long long>(db.rules().stats().tasks_created),
-              static_cast<unsigned long long>(db.rules().stats().firings_merged),
+              static_cast<unsigned long long>(
+                  db.rules().stats().tasks_created.load()),
+              static_cast<unsigned long long>(
+                  db.rules().stats().firings_merged.load()),
               db.Execute("select * from branch_totals order by branch")
                   ->ToString().c_str());
   return 0;

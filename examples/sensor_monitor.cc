@@ -113,7 +113,7 @@ int main() {
                   ->ToString().c_str());
   std::printf("\nalerts raised (batching kept recomputes to %llu):\n%s",
               static_cast<unsigned long long>(
-                  db.rules().stats().tasks_created),
+                  db.rules().stats().tasks_created.load()),
               db.Execute("select zone, total from alerts order by at")
                   ->ToString().c_str());
   return 0;

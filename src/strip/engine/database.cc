@@ -15,14 +15,15 @@ Database::Database() : Database(Options{}) {}
 Database::Database(Options options)
     : options_(options),
       trace_ring_(options_.enable_metrics ? kTraceCapacity : 0),
+      locks_(metrics_),
       scalar_funcs_(ScalarFuncRegistry::WithBuiltins()) {
   if (options_.mode == ExecutorMode::kSimulated) {
     sim_ = std::make_unique<SimulatedExecutor>(
-        options_.policy, options_.advance_clock_by_cost);
+        metrics_, options_.policy, options_.advance_clock_by_cost);
     executor_ = sim_.get();
   } else {
-    threaded_ = std::make_unique<ThreadedExecutor>(options_.num_workers,
-                                                   options_.policy);
+    threaded_ = std::make_unique<ThreadedExecutor>(
+        metrics_, options_.num_workers, options_.policy);
     executor_ = threaded_.get();
   }
   RuleEngineDeps deps;
@@ -30,6 +31,7 @@ Database::Database(Options options)
   deps.locks = &locks_;
   deps.scalar_funcs = &scalar_funcs_;
   deps.task_ids = &next_task_id_;
+  deps.metrics = &metrics_;
   deps.trace = trace_ring_.enabled() ? &trace_ring_ : nullptr;
   deps.action_runner = [this](TaskControlBlock& task) {
     return RunActionTask(task);
@@ -40,7 +42,9 @@ Database::Database(Options options)
 }
 
 void Database::RegisterBuiltinMetrics() {
-  // Hot-path counter handles (always on: one relaxed increment each).
+  // Hot-path counter handles (always on: one relaxed increment each). The
+  // lock manager, executor and rule engine resolved their own counters
+  // when they were constructed.
   plan_hits_ = metrics_.counter("db.plan_cache.hits");
   plan_misses_ = metrics_.counter("db.plan_cache.misses");
   txn_begins_ = metrics_.counter("txn.begins");
@@ -62,48 +66,7 @@ void Database::RegisterBuiltinMetrics() {
     executor_->set_obs(eobs);
   }
 
-  // Existing subsystem stats structs stay the source of truth on their
-  // hot paths; the registry pulls them at snapshot time.
-  auto load = [](const std::atomic<uint64_t>& v) {
-    return static_cast<double>(v.load(std::memory_order_relaxed));
-  };
-  const ExecutorStats& es = executor_->stats();
-  metrics_.RegisterCallback("executor.tasks_run",
-                            [&es, load] { return load(es.tasks_run); });
-  metrics_.RegisterCallback("executor.tasks_failed",
-                            [&es, load] { return load(es.tasks_failed); });
-  metrics_.RegisterCallback("executor.busy_micros", [&es] {
-    return static_cast<double>(
-        es.busy_micros.load(std::memory_order_relaxed));
-  });
-  const RuleStats& rs = rules_->stats();
-  metrics_.RegisterCallback("rules.commits_checked",
-                            [&rs, load] { return load(rs.commits_checked); });
-  metrics_.RegisterCallback("rules.rules_triggered",
-                            [&rs, load] { return load(rs.rules_triggered); });
-  metrics_.RegisterCallback("rules.conditions_true",
-                            [&rs, load] { return load(rs.conditions_true); });
-  metrics_.RegisterCallback("rules.tasks_created",
-                            [&rs, load] { return load(rs.tasks_created); });
-  metrics_.RegisterCallback("rules.firings_merged",
-                            [&rs, load] { return load(rs.firings_merged); });
-  // Batching factor (§7): average firings consumed per created task.
-  metrics_.RegisterCallback("rules.batching_factor", [&rs] {
-    double created = static_cast<double>(
-        rs.tasks_created.load(std::memory_order_relaxed));
-    double merged = static_cast<double>(
-        rs.firings_merged.load(std::memory_order_relaxed));
-    return created == 0 ? 0.0 : (created + merged) / created;
-  });
-  const LockManagerStats& ls = locks_.stats();
-  metrics_.RegisterCallback("locks.acquires",
-                            [&ls, load] { return load(ls.acquires); });
-  metrics_.RegisterCallback("locks.waits",
-                            [&ls, load] { return load(ls.waits); });
-  metrics_.RegisterCallback("locks.wait_die_aborts",
-                            [&ls, load] { return load(ls.wait_die_aborts); });
-  metrics_.RegisterCallback("locks.wait_micros",
-                            [&ls, load] { return load(ls.wait_micros); });
+  // Pull-state gauges: sizes read at snapshot time, not counts.
   metrics_.RegisterCallback("db.plan_cache.entries", [this] {
     std::lock_guard<std::mutex> lk(plan_mu_);
     return static_cast<double>(plan_cache_.size());
@@ -528,16 +491,6 @@ Result<PreparedStatementPtr> Database::Prepare(const std::string& sql) {
     plan_lru_.pop_back();
   }
   return handle;
-}
-
-Database::PlanCacheStats Database::plan_cache_stats() const {
-  std::lock_guard<std::mutex> lk(plan_mu_);
-  PlanCacheStats stats;
-  stats.hits = plan_hits_->Get();
-  stats.misses = plan_misses_->Get();
-  stats.entries = plan_cache_.size();
-  stats.capacity = options_.plan_cache_capacity;
-  return stats;
 }
 
 Result<ResultSet> Database::Execute(const std::string& sql) {

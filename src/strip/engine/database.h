@@ -99,15 +99,6 @@ class Database {
   /// DDL statements get fresh uncached handles.
   Result<PreparedStatementPtr> Prepare(const std::string& sql);
 
-  /// Plan-cache observability (hits / misses are cumulative).
-  struct PlanCacheStats {
-    size_t hits = 0;
-    size_t misses = 0;
-    size_t entries = 0;
-    size_t capacity = 0;
-  };
-  PlanCacheStats plan_cache_stats() const;
-
   /// Executes a SELECT and returns the plan decisions the executor made
   /// (scan methods, join order and algorithms, aggregation, sorting) —
   /// EXPLAIN-ANALYZE-style: the query really runs, in its own transaction.
@@ -199,9 +190,11 @@ class Database {
 
   // --- components ----------------------------------------------------------
   const Options& options() const { return options_; }
-  /// The unified metrics registry: every subsystem's counters (lock
-  /// manager, executors, rule engine, unique manager, plan cache) plus the
+  /// The unified metrics registry and the only store of the engine's
+  /// counts: every subsystem's counters (lock manager, executor, rule
+  /// engine, plan cache, transactions), pull gauges for sizes, and the
   /// latency / staleness histograms. SnapshotJson() is the export surface.
+  /// Metric names are catalogued in DESIGN.md §8.
   MetricsRegistry& metrics() { return metrics_; }
   /// Per-transaction lifecycle trace of the most recent tasks
   /// (submit/delay/ready/start/commit/...); ToChromeJson() loads in
@@ -244,8 +237,8 @@ class Database {
   ExecContext MakeExecContext(Transaction* txn, TaskControlBlock* task,
                               const std::vector<Value>* params);
 
-  /// Wires every subsystem stats struct into the registry as callback
-  /// gauges and resolves the hot-path counter / histogram handles.
+  /// Resolves the engine's own hot-path counter / histogram handles and
+  /// registers the pull-state gauges (plan-cache size, trace ring totals).
   void RegisterBuiltinMetrics();
 
   /// Stamps commit staleness into the task and feeds the per-rule
@@ -298,9 +291,8 @@ class Database {
                                PreparedStatementPtr>>
       plan_cache_;
 
-  // Registry-owned atomic counters (hot paths increment through the cached
-  // pointers). The plan-cache pair used to be plain size_t — racy once
-  // Execute() ran from multiple ThreadedExecutor workers.
+  // Registry-owned counters (hot paths increment through the cached
+  // pointers).
   Counter* plan_hits_ = nullptr;
   Counter* plan_misses_ = nullptr;
   Counter* txn_begins_ = nullptr;

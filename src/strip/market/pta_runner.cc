@@ -113,8 +113,8 @@ Result<PtaRunResult> PtaExperiment::Run() {
         result.num_updates > 0
             ? update_response_total / static_cast<double>(result.num_updates)
             : 0.0;
-    result.tasks_created = db_->rules().stats().tasks_created;
-    result.firings_merged = db_->rules().stats().firings_merged;
+    result.tasks_created = db_->rules().stats().tasks_created.load();
+    result.firings_merged = db_->rules().stats().firings_merged.load();
     if (!staleness_seconds.empty()) {
       result.p50_staleness_seconds = Percentile(staleness_seconds, 0.50);
       result.p95_staleness_seconds = Percentile(staleness_seconds, 0.95);
@@ -268,15 +268,14 @@ Result<ThreadedPtaResult> RunThreadedPta(const ThreadedPtaOptions& options) {
     result.p99_firing_latency_micros = Percentile(firing_latencies, 0.99);
   }
   const LockManagerStats& ls = db.locks().stats();
-  result.lock_acquires = ls.acquires.load(std::memory_order_relaxed);
-  result.lock_waits = ls.waits.load(std::memory_order_relaxed);
-  result.lock_wait_die_aborts =
-      ls.wait_die_aborts.load(std::memory_order_relaxed);
-  result.lock_wait_micros = ls.wait_micros.load(std::memory_order_relaxed);
-  result.tasks_created = db.rules().stats().tasks_created;
-  result.firings_merged = db.rules().stats().firings_merged;
-  result.tasks_run = db.executor().stats().tasks_run;
-  result.tasks_failed = db.executor().stats().tasks_failed;
+  result.lock_acquires = ls.acquires.load();
+  result.lock_waits = ls.waits.load();
+  result.lock_wait_die_aborts = ls.wait_die_aborts.load();
+  result.lock_wait_micros = ls.wait_micros.load();
+  result.tasks_created = db.rules().stats().tasks_created.load();
+  result.firings_merged = db.rules().stats().firings_merged.load();
+  result.tasks_run = db.executor().stats().tasks_run.load();
+  result.tasks_failed = db.executor().stats().tasks_failed.load();
   result.metrics_json =
       options.enable_metrics ? db.metrics().SnapshotJson() : "{}";
   return result;

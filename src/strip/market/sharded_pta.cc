@@ -252,11 +252,11 @@ Result<ShardedPtaResult> RunShardedPta(const ShardedPtaOptions& options) {
   result.staging_failed =
       staging != nullptr ? staging->records_failed() : 0;
   for (int i = 0; i < cluster.num_shards(); ++i) {
-    result.wait_die_aborts += cluster.shard(i).locks().stats().
-        wait_die_aborts.load(std::memory_order_relaxed);
+    result.wait_die_aborts +=
+        cluster.shard(i).locks().stats().wait_die_aborts.load();
   }
-  result.wait_die_aborts += cluster.merge().locks().stats().
-      wait_die_aborts.load(std::memory_order_relaxed);
+  result.wait_die_aborts +=
+      cluster.merge().locks().stats().wait_die_aborts.load();
   STRIP_ASSIGN_OR_RETURN(result.merged_view, ReadView(cluster.merge()));
   result.metrics_json =
       options.enable_metrics ? cluster.MetricsJson() : "{}";

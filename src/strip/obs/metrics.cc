@@ -158,7 +158,7 @@ void MetricsRegistry::RegisterCallback(const std::string& name,
 std::map<std::string, uint64_t> MetricsRegistry::CounterValues() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::map<std::string, uint64_t> out;
-  for (const auto& [name, c] : counters_) out[name] = c->Get();
+  for (const auto& [name, c] : counters_) out[name] = c->load();
   return out;
 }
 

@@ -14,11 +14,11 @@ namespace strip {
 
 /// Monotonic counter. One relaxed atomic increment on the hot path;
 /// cache-line aligned so unrelated counters registered together don't
-/// false-share.
+/// false-share. Reads are spelled load(), like the atomic it wraps.
 class alignas(64) Counter {
  public:
   void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t Get() const { return v_.load(std::memory_order_relaxed); }
+  uint64_t load() const { return v_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> v_{0};
@@ -79,15 +79,16 @@ class Histogram {
   std::atomic<int64_t> max_;
 };
 
-/// Thread-safe registry of named counters, gauges, and histograms.
-/// Registration (first lookup of a name) takes a mutex; the returned
-/// pointers are stable for the registry's lifetime, so hot paths resolve
-/// their instruments once and then pay only the relaxed atomic ops.
+/// Thread-safe registry of named counters, gauges, and histograms: the
+/// only place the engine stores a count. Registration (first lookup of a
+/// name) takes a mutex; the returned pointers are stable for the
+/// registry's lifetime, so hot paths resolve their instruments once and
+/// then pay only the relaxed atomic ops. Subsystem stats structs
+/// (ExecutorStats, RuleStats, LockManagerStats) are references to counters
+/// held here, not copies.
 ///
-/// Existing subsystem stats structs (ExecutorStats, RuleStats,
-/// LockManagerStats, ...) are wired in through callback gauges: the struct
-/// stays the source of truth on its hot path, and the registry pulls the
-/// current value at snapshot time for free.
+/// Callback gauges are for pull state that is not a count of events (a
+/// cache's size, a connection count): the callback runs at snapshot time.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -102,6 +103,7 @@ class MetricsRegistry {
                            Histogram::DefaultLatencyBoundsMicros());
 
   /// Registers (or replaces) a pull gauge evaluated at snapshot time.
+  /// Never for a count: counts are Counters.
   void RegisterCallback(const std::string& name,
                         std::function<double()> fn);
 

@@ -121,12 +121,12 @@ WatchdogVerdict Watchdog::Evaluate(Timestamp now) {
     v.signals.push_back(std::move(s));
   }
   if (slo_.max_lock_abort_rate > 0) {
-    std::map<std::string, double> gauges = metrics_->GaugeValues();
+    std::map<std::string, uint64_t> counters = metrics_->CounterValues();
     double aborts = 0, acquires = 0;
-    auto it = gauges.find("locks.wait_die_aborts");
-    if (it != gauges.end()) aborts = it->second;
-    it = gauges.find("locks.acquires");
-    if (it != gauges.end()) acquires = it->second;
+    auto it = counters.find("locks.wait_die_aborts");
+    if (it != counters.end()) aborts = static_cast<double>(it->second);
+    it = counters.find("locks.acquires");
+    if (it != counters.end()) acquires = static_cast<double>(it->second);
     double d_aborts = std::max(0.0, aborts - prev_aborts_);
     double d_acquires = std::max(0.0, acquires - prev_acquires_);
     prev_aborts_ = aborts;

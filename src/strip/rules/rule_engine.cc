@@ -7,6 +7,13 @@
 
 namespace strip {
 
+RuleStats::RuleStats(MetricsRegistry& metrics)
+    : commits_checked(*metrics.counter("rules.commits_checked")),
+      rules_triggered(*metrics.counter("rules.rules_triggered")),
+      conditions_true(*metrics.counter("rules.conditions_true")),
+      tasks_created(*metrics.counter("rules.tasks_created")),
+      firings_merged(*metrics.counter("rules.firings_merged")) {}
+
 Status RuleEngine::CreateRule(CreateRuleStmt stmt) {
   STRIP_ASSIGN_OR_RETURN(std::unique_ptr<RuleDef> rule,
                          RuleDef::Create(std::move(stmt), *deps_.catalog));
@@ -104,7 +111,7 @@ TaskPtr RuleEngine::NewActionTask(const RuleDef& rule, Timestamp commit_time,
   // rules it cascades into still share one trace.
   task->trace = ChildOf(parent_trace);
   task->work = deps_.action_runner;
-  stats_.tasks_created.fetch_add(1, std::memory_order_relaxed);
+  stats_.tasks_created.Add();
   return task;
 }
 
@@ -113,7 +120,7 @@ Result<std::optional<RuleEngine::Firing>> RuleEngine::Evaluate(
     const std::vector<const TempTable*>& transition,
     const std::map<std::string, Value>& pseudo) {
   const RuleDef& def = *rule.def;
-  stats_.rules_triggered.fetch_add(1, std::memory_order_relaxed);
+  stats_.rules_triggered.Add();
   std::shared_ptr<const RuleDef::Plans> plans =
       def.CurrentPlans(*deps_.catalog, deps_.scalar_funcs);
   STRIP_RETURN_IF_ERROR(plans->status);
@@ -140,7 +147,7 @@ Result<std::optional<RuleEngine::Firing>> RuleEngine::Evaluate(
       STRIP_RETURN_IF_ERROR(firing.bound.Add(std::move(result)));
     }
   }
-  stats_.conditions_true.fetch_add(1, std::memory_order_relaxed);
+  stats_.conditions_true.Add();
 
   // Evaluate clause: computed only when the condition holds; purely for
   // passing data to the action (§2).
@@ -185,7 +192,7 @@ void RuleEngine::Dispatch(Firing&& firing, Transaction* txn,
                              std::move(tables));
       },
       out);
-  stats_.firings_merged.fetch_add(merged, std::memory_order_relaxed);
+  stats_.firings_merged.Add(merged);
   if (deps_.trace == nullptr) return;
   for (size_t i = 0; i < merged; ++i) {
     deps_.trace->Record(TraceEventKind::kMerge, txn->id(), commit_time,
@@ -198,7 +205,7 @@ Result<std::vector<TaskPtr>> RuleEngine::ProcessCommit(
   std::vector<TaskPtr> out;
   const TxnLog& log = txn->log();
   if (log.empty() || rules_.empty()) return out;
-  stats_.commits_checked.fetch_add(1, std::memory_order_relaxed);
+  stats_.commits_checked.Add();
 
   // Transition tables are built per touched table and shared by its
   // rules, whose plans bind them by position.

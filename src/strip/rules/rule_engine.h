@@ -11,6 +11,7 @@
 
 #include "strip/common/clock.h"
 #include "strip/common/status.h"
+#include "strip/obs/metrics.h"
 #include "strip/rules/rule_def.h"
 #include "strip/rules/unique_manager.h"
 #include "strip/sql/expr_eval.h"
@@ -36,17 +37,20 @@ struct RuleEngineDeps {
   std::function<Status(TaskControlBlock&)> action_runner;
   /// Shared task-id allocator.
   std::atomic<uint64_t>* task_ids = nullptr;
+  /// Holds the `rules.*` counters (required).
+  MetricsRegistry* metrics = nullptr;
 };
 
-/// Rule-processing statistics (feed the paper's metrics). Atomic because
-/// in threaded mode multiple committing transactions (and action tasks
-/// that themselves commit) update them concurrently.
+/// Rule-processing statistics (feed the paper's metrics): the registry's
+/// `rules.*` counters, resolved once. Committing transactions (and action
+/// tasks that themselves commit) add to them concurrently.
 struct RuleStats {
-  std::atomic<uint64_t> commits_checked{0};  // transactions event-checked
-  std::atomic<uint64_t> rules_triggered{0};  // event matched
-  std::atomic<uint64_t> conditions_true{0};
-  std::atomic<uint64_t> tasks_created{0};    // new action tasks enqueued
-  std::atomic<uint64_t> firings_merged{0};   // batched into a queued task
+  explicit RuleStats(MetricsRegistry& metrics);
+  Counter& commits_checked;  // transactions event-checked
+  Counter& rules_triggered;  // event matched
+  Counter& conditions_true;
+  Counter& tasks_created;    // new action tasks enqueued
+  Counter& firings_merged;   // batched into a queued task
 };
 
 /// The STRIP rule system (§2, §6.3). Holds rule definitions; at the end of
@@ -54,7 +58,8 @@ struct RuleStats {
 /// evaluates conditions, binds tables, and creates / merges action tasks.
 class RuleEngine {
  public:
-  explicit RuleEngine(RuleEngineDeps deps) : deps_(std::move(deps)) {}
+  explicit RuleEngine(RuleEngineDeps deps)
+      : deps_(std::move(deps)), stats_(*deps_.metrics) {}
 
   RuleEngine(const RuleEngine&) = delete;
   RuleEngine& operator=(const RuleEngine&) = delete;

@@ -463,10 +463,10 @@ ChaosReport RunChaos(const ChaosOptions& options) {
 
   report.applied_updates = applied;
   report.churn_events = churned;
-  report.rule_tasks_created = db.rules().stats().tasks_created;
-  report.firings_merged = db.rules().stats().firings_merged;
+  report.rule_tasks_created = db.rules().stats().tasks_created.load();
+  report.firings_merged = db.rules().stats().firings_merged.load();
   report.wait_die_aborts =
-      db.locks().stats().wait_die_aborts.load(std::memory_order_relaxed);
+      db.locks().stats().wait_die_aborts.load();
   const FaultInjectionStats& fi = injector.stats();
   report.injected.lock_aborts = fi.lock_aborts.load(std::memory_order_relaxed);
   report.injected.stalls = fi.stalls.load(std::memory_order_relaxed);
@@ -775,10 +775,10 @@ ChaosReport RunClusterChaos(const ChaosOptions& options, int num_shards) {
   report.deltas_shipped = cluster.deltas_shipped();
   for (int i = 0; i < engines; ++i) {
     Database& db = engine(i);
-    report.rule_tasks_created += db.rules().stats().tasks_created;
-    report.firings_merged += db.rules().stats().firings_merged;
+    report.rule_tasks_created += db.rules().stats().tasks_created.load();
+    report.firings_merged += db.rules().stats().firings_merged.load();
     report.wait_die_aborts +=
-        db.locks().stats().wait_die_aborts.load(std::memory_order_relaxed);
+        db.locks().stats().wait_die_aborts.load();
     const FaultInjectionStats& fi = injectors[static_cast<size_t>(i)]->stats();
     report.injected.lock_aborts +=
         fi.lock_aborts.load(std::memory_order_relaxed);

@@ -9,6 +9,11 @@
 
 namespace strip {
 
+ExecutorStats::ExecutorStats(MetricsRegistry& metrics)
+    : tasks_run(*metrics.counter("executor.tasks_run")),
+      tasks_failed(*metrics.counter("executor.tasks_failed")),
+      busy_micros(*metrics.counter("executor.busy_micros")) {}
+
 Timestamp ExecuteTaskBody(TaskControlBlock& task, Timestamp now,
                           ExecutorStats& stats, const ExecutorObs& obs) {
   task.start_time = now;
@@ -29,9 +34,9 @@ Timestamp ExecuteTaskBody(TaskControlBlock& task, Timestamp now,
                        : nanos;
   task.cpu_micros = cost;
   task.result = st;
-  stats.tasks_run.fetch_add(1, std::memory_order_relaxed);
-  if (!st.ok()) stats.tasks_failed.fetch_add(1, std::memory_order_relaxed);
-  stats.busy_micros.fetch_add(cost, std::memory_order_relaxed);
+  stats.tasks_run.Add();
+  if (!st.ok()) stats.tasks_failed.Add();
+  stats.busy_micros.Add(static_cast<uint64_t>(cost));
   if (obs.run_us != nullptr) obs.run_us->Observe(cost);
   // Per-rule breakdown: where did this firing's latency go, and what did
   // it cost? Read after `work` returned, so the plain cost fields the body

@@ -79,7 +79,7 @@ TEST(DatabaseMiscTest, RuleOnDroppedTableIsSkipped) {
   // Commits against other tables still work; the orphaned rule is inert.
   ASSERT_OK(db.Execute("insert into other values (1)").status());
   db.simulated()->RunUntilQuiescent();
-  EXPECT_EQ(db.rules().stats().tasks_created, 0u);
+  EXPECT_EQ(db.rules().stats().tasks_created.load(), 0u);
 }
 
 TEST(DatabaseMiscTest, FailingActionCountsAsFailedTask) {
@@ -94,7 +94,7 @@ TEST(DatabaseMiscTest, FailingActionCountsAsFailedTask) {
       "create rule r on t when inserted then execute boom").status());
   ASSERT_OK(db.Execute("insert into t values (1)").status());
   db.simulated()->RunUntilQuiescent();
-  EXPECT_EQ(db.executor().stats().tasks_failed, 1u);
+  EXPECT_EQ(db.executor().stats().tasks_failed.load(), 1u);
 }
 
 TEST(DatabaseMiscTest, UnknownActionFunctionFailsAtRunTimeNotCommit) {
@@ -109,7 +109,7 @@ TEST(DatabaseMiscTest, UnknownActionFunctionFailsAtRunTimeNotCommit) {
       "create rule r on t when inserted then execute ghost").status());
   ASSERT_OK(db.Execute("insert into t values (1)").status());
   db.simulated()->RunUntilQuiescent();
-  EXPECT_EQ(db.executor().stats().tasks_failed, 1u);
+  EXPECT_EQ(db.executor().stats().tasks_failed.load(), 1u);
 }
 
 TEST(DatabaseMiscTest, DuplicateRegistrationsRejected) {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 
+#include "strip/obs/metrics.h"
 #include "strip/txn/simulated_executor.h"
 #include "strip/txn/task_queues.h"
 #include "strip/txn/threaded_executor.h"
@@ -96,7 +97,8 @@ TEST(SchedulerTest, PolicyNames) {
 // ---------------------------------------------------------------------------
 
 TEST(SimulatedExecutorTest, HonorsReleaseTimes) {
-  SimulatedExecutor ex(SchedulingPolicy::kFifo,
+  MetricsRegistry metrics;
+  SimulatedExecutor ex(metrics, SchedulingPolicy::kFifo,
                        /*advance_clock_by_cost=*/false);
   std::vector<std::pair<uint64_t, Timestamp>> runs;
   auto submit = [&](uint64_t id, Timestamp release) {
@@ -122,7 +124,8 @@ TEST(SimulatedExecutorTest, HonorsReleaseTimes) {
 }
 
 TEST(SimulatedExecutorTest, FixedCostAdvancesVirtualClock) {
-  SimulatedExecutor ex(SchedulingPolicy::kFifo,
+  MetricsRegistry metrics;
+  SimulatedExecutor ex(metrics, SchedulingPolicy::kFifo,
                        /*advance_clock_by_cost=*/true);
   for (int i = 0; i < 3; ++i) {
     auto t = MakeTask(static_cast<uint64_t>(i));
@@ -132,14 +135,15 @@ TEST(SimulatedExecutorTest, FixedCostAdvancesVirtualClock) {
   }
   ex.RunUntilQuiescent();
   EXPECT_EQ(ex.clock().Now(), 300);
-  EXPECT_EQ(ex.stats().tasks_run, 3u);
-  EXPECT_EQ(ex.stats().busy_micros, 300);
+  EXPECT_EQ(ex.stats().tasks_run.load(), 3u);
+  EXPECT_EQ(ex.stats().busy_micros.load(), 300u);
 }
 
 TEST(SimulatedExecutorTest, BusyCpuDelaysLaterTasks) {
   // Single-server semantics: a long task occupies the (virtual) CPU, so a
   // task released meanwhile starts late.
-  SimulatedExecutor ex(SchedulingPolicy::kFifo, true);
+  MetricsRegistry metrics;
+  SimulatedExecutor ex(metrics, SchedulingPolicy::kFifo, true);
   auto heavy = MakeTask(1, 0);
   heavy->fixed_cost_micros = 1000;
   heavy->work = [](TaskControlBlock&) { return Status::OK(); };
@@ -157,7 +161,8 @@ TEST(SimulatedExecutorTest, BusyCpuDelaysLaterTasks) {
 }
 
 TEST(SimulatedExecutorTest, TasksCanSpawnTasks) {
-  SimulatedExecutor ex(SchedulingPolicy::kFifo, false);
+  MetricsRegistry metrics;
+  SimulatedExecutor ex(metrics, SchedulingPolicy::kFifo, false);
   std::atomic<int> runs{0};
   std::function<void(int)> spawn = [&](int depth) {
     auto t = MakeTask(static_cast<uint64_t>(depth), ex.Now() + 100);
@@ -175,7 +180,8 @@ TEST(SimulatedExecutorTest, TasksCanSpawnTasks) {
 }
 
 TEST(SimulatedExecutorTest, ObserverSeesResultsAndFailures) {
-  SimulatedExecutor ex;
+  MetricsRegistry metrics;
+  SimulatedExecutor ex(metrics);
   int observed = 0, failed = 0;
   ex.set_task_observer([&](const TaskControlBlock& t) {
     ++observed;
@@ -190,11 +196,13 @@ TEST(SimulatedExecutorTest, ObserverSeesResultsAndFailures) {
   ex.RunUntilQuiescent();
   EXPECT_EQ(observed, 2);
   EXPECT_EQ(failed, 1);
-  EXPECT_EQ(ex.stats().tasks_failed, 1u);
+  EXPECT_EQ(ex.stats().tasks_failed.load(), 1u);
 }
 
 TEST(SimulatedExecutorTest, EdfPolicyOrdersSimultaneousReleases) {
-  SimulatedExecutor ex(SchedulingPolicy::kEarliestDeadlineFirst, false);
+  MetricsRegistry metrics;
+  SimulatedExecutor ex(metrics, SchedulingPolicy::kEarliestDeadlineFirst,
+                       false);
   std::vector<uint64_t> order;
   auto submit = [&](uint64_t id, Timestamp deadline) {
     auto t = MakeTask(id, 100);
@@ -220,7 +228,8 @@ TEST(SimulatedExecutorTest, EdfPolicyOrdersSimultaneousReleases) {
 // ---------------------------------------------------------------------------
 
 TEST(ThreadedExecutorTest, RunsAllTasksAndDrains) {
-  ThreadedExecutor ex(3);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 3);
   std::atomic<int> runs{0};
   for (int i = 0; i < 50; ++i) {
     auto t = MakeTask(static_cast<uint64_t>(i));
@@ -232,12 +241,13 @@ TEST(ThreadedExecutorTest, RunsAllTasksAndDrains) {
   }
   ex.Drain();
   EXPECT_EQ(runs.load(), 50);
-  EXPECT_EQ(ex.stats().tasks_run, 50u);
+  EXPECT_EQ(ex.stats().tasks_run.load(), 50u);
   ex.Shutdown();
 }
 
 TEST(ThreadedExecutorTest, DelayedTaskWaitsForWallClock) {
-  ThreadedExecutor ex(1);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 1);
   std::atomic<bool> ran{false};
   auto t = MakeTask(1, ex.Now() + SecondsToMicros(0.08));
   t->work = [&](TaskControlBlock&) {
@@ -253,7 +263,8 @@ TEST(ThreadedExecutorTest, DelayedTaskWaitsForWallClock) {
 }
 
 TEST(ThreadedExecutorTest, WorkersRunConcurrently) {
-  ThreadedExecutor ex(4);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 4);
   std::atomic<int> inside{0};
   std::atomic<int> peak{0};
   for (int i = 0; i < 16; ++i) {
@@ -275,7 +286,8 @@ TEST(ThreadedExecutorTest, WorkersRunConcurrently) {
 }
 
 TEST(ThreadedExecutorTest, ShutdownIsIdempotent) {
-  ThreadedExecutor ex(2);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 2);
   ex.Shutdown();
   ex.Shutdown();
 }

@@ -320,7 +320,7 @@ TEST(NetTest, BackpressurePausesAPipeliningSlowReader) {
   Counter* pauses = server->db().metrics().counter(
       "server.backpressure_pauses");
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (pauses->Get() == 0) {
+  while (pauses->load() == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "backpressure never engaged";
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -334,7 +334,7 @@ TEST(NetTest, BackpressurePausesAPipeliningSlowReader) {
     ASSERT_OK_AND_ASSIGN(ExecResponse rs, DecodeExecResponse(reply.payload));
     EXPECT_EQ(rs.rows.size(), 800u) << "reply " << i;
   }
-  EXPECT_GE(pauses->Get(), 1u);
+  EXPECT_GE(pauses->load(), 1u);
   server->Stop();
 }
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -135,7 +136,7 @@ TEST(MetricsRegistry, ConcurrentCounterIncrementsAreExact) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(reg.counter("shared")->Get(),
+  EXPECT_EQ(reg.counter("shared")->load(),
             static_cast<uint64_t>(kThreads * kPerThread));
 }
 
@@ -421,25 +422,25 @@ TEST(Watchdog, WarnsWhenApproachingTheThreshold) {
 
 TEST(Watchdog, LockAbortRateJudgesIntervalDeltas) {
   MetricsRegistry reg;
-  double acquires = 1000;  // pre-watchdog history
-  double aborts = 900;     // (ancient 90% abort rate must not trip it)
-  reg.RegisterCallback("locks.acquires", [&] { return acquires; });
-  reg.RegisterCallback("locks.wait_die_aborts", [&] { return aborts; });
+  Counter* acquires = reg.counter("locks.acquires");
+  Counter* aborts = reg.counter("locks.wait_die_aborts");
+  acquires->Add(1000);  // pre-watchdog history
+  aborts->Add(900);     // (ancient 90% abort rate must not trip it)
   WatchdogSlo slo;
   slo.max_lock_abort_rate = 0.10;
   slo.trip_intervals = 1;
   Watchdog dog(&reg, slo);
   dog.Evaluate(0);  // baseline swallows the history
 
-  acquires += 100;  // clean interval: 2% aborts
-  aborts += 2;
+  acquires->Add(100);  // clean interval: 2% aborts
+  aborts->Add(2);
   WatchdogVerdict v1 = dog.Evaluate(10);
   EXPECT_EQ(v1.state, WatchdogState::kOk);
   ASSERT_EQ(v1.signals.size(), 1u);
   EXPECT_NEAR(v1.signals[0].observed, 0.02, 1e-9);
 
-  acquires += 100;  // overload interval: 50% aborts
-  aborts += 50;
+  acquires->Add(100);  // overload interval: 50% aborts
+  aborts->Add(50);
   WatchdogVerdict v2 = dog.Evaluate(20);
   EXPECT_EQ(v2.state, WatchdogState::kShed);  // trip_intervals = 1
   EXPECT_EQ(v2.worst_signal, "lock_abort_rate");
@@ -571,8 +572,11 @@ TEST(StalenessProbe, MeasuresAgeOfOldestBatchedChange) {
   EXPECT_EQ(batch->count(), 1u);
   EXPECT_EQ(batch->sum(), 2);
 
-  // Batching-factor gauge: (1 created + 1 merged) / 1 created = 2.
-  EXPECT_EQ(db.metrics().GaugeValues().at("rules.batching_factor"), 2.0);
+  // The same batching factor from the two counters: (1 created + 1
+  // merged) / 1 created = 2.
+  std::map<std::string, uint64_t> counters = db.metrics().CounterValues();
+  EXPECT_EQ(counters.at("rules.tasks_created"), 1u);
+  EXPECT_EQ(counters.at("rules.firings_merged"), 1u);
 }
 
 // Disabling metrics removes the probes (and the ring) without affecting

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,10 +78,10 @@ TEST(PreparedStatementTest, PlanCacheSharesHandlesAndNormalizes) {
                        db.Prepare("select v from t where k = 'A'"));
   EXPECT_NE(h1.get(), h4.get());
 
-  auto stats = db.plan_cache_stats();
-  EXPECT_GE(stats.hits, 2u);
-  EXPECT_GE(stats.misses, 2u);
-  EXPECT_GE(stats.entries, 2u);
+  std::map<std::string, uint64_t> counters = db.metrics().CounterValues();
+  EXPECT_GE(counters.at("db.plan_cache.hits"), 2u);
+  EXPECT_GE(counters.at("db.plan_cache.misses"), 2u);
+  EXPECT_GE(db.metrics().GaugeValues().at("db.plan_cache.entries"), 2.0);
 }
 
 TEST(PreparedStatementTest, PlanCacheEvictsAtCapacity) {
@@ -92,7 +93,7 @@ TEST(PreparedStatementTest, PlanCacheEvictsAtCapacity) {
     ASSERT_OK(db.Execute(StrFormat("select v from t where v > %d", i))
                   .status());
   }
-  EXPECT_LE(db.plan_cache_stats().entries, 4u);
+  EXPECT_LE(db.metrics().GaugeValues().at("db.plan_cache.entries"), 4.0);
 }
 
 TEST(PreparedStatementTest, CachedPlanSeesIndexCreatedLater) {

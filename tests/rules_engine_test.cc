@@ -149,8 +149,8 @@ TEST_F(RulesEngineTest, ConditionFalseSuppressesAction) {
   ASSERT_OK(db_.Execute("insert into t values ('small', 5)").status());
   db_.simulated()->RunUntilQuiescent();
   EXPECT_EQ(Audit().num_rows(), 0u);
-  EXPECT_EQ(db_.rules().stats().rules_triggered, 1u);
-  EXPECT_EQ(db_.rules().stats().conditions_true, 0u);
+  EXPECT_EQ(db_.rules().stats().rules_triggered.load(), 1u);
+  EXPECT_EQ(db_.rules().stats().conditions_true.load(), 0u);
   ASSERT_OK(db_.Execute("insert into t values ('big', 500)").status());
   db_.simulated()->RunUntilQuiescent();
   EXPECT_EQ(Audit().num_rows(), 1u);
@@ -261,7 +261,7 @@ TEST_F(RulesEngineTest, DropRuleStopsFiring) {
   EXPECT_EQ(db_.rules().FindRule("r"), nullptr);
   ASSERT_OK(db_.Execute("insert into t values ('a', 1)").status());
   db_.simulated()->RunUntilQuiescent();
-  EXPECT_EQ(db_.rules().stats().rules_triggered, 0u);
+  EXPECT_EQ(db_.rules().stats().rules_triggered.load(), 0u);
 }
 
 // --- validation ------------------------------------------------------------
@@ -355,8 +355,8 @@ TEST_F(RulesEngineTest, TwoRulesSameFunctionShareUniqueTask) {
   ASSERT_OK(db_.Execute("insert into t values ('a', 1)").status());
   ASSERT_OK(db_.Execute("insert into t2 values ('b', 2)").status());
   db_.simulated()->RunUntilQuiescent();
-  EXPECT_EQ(db_.rules().stats().tasks_created, 1u);
-  EXPECT_EQ(db_.rules().stats().firings_merged, 1u);
+  EXPECT_EQ(db_.rules().stats().tasks_created.load(), 1u);
+  EXPECT_EQ(db_.rules().stats().firings_merged.load(), 1u);
   ResultSet a = Audit();
   ASSERT_EQ(a.num_rows(), 2u);  // both firings' rows in one batch
 }
@@ -417,7 +417,7 @@ TEST_F(RulesEngineTest, FailedCommitLeavesNoOrphanedUniqueTask) {
   ASSERT_EQ(a.num_rows(), 1u);
   EXPECT_EQ(a.rows[0][1], Value::Str("a"));
   EXPECT_EQ(a.rows[0][2], Value::Int(2));
-  EXPECT_EQ(db_.rules().stats().firings_merged, 0u);
+  EXPECT_EQ(db_.rules().stats().firings_merged.load(), 0u);
   EXPECT_EQ(db_.rules().unique_manager().NumQueued("spy"), 0u);
 }
 
@@ -447,7 +447,7 @@ TEST_F(RulesEngineTest, ConditionOnMissingTableFailsUntilItExists) {
   ResultSet a = Audit();
   ASSERT_EQ(a.num_rows(), 1u);  // the failed commits left nothing behind
   EXPECT_EQ(a.rows[0][2], Value::Int(2));
-  EXPECT_EQ(db_.rules().stats().conditions_true, 1u);
+  EXPECT_EQ(db_.rules().stats().conditions_true.load(), 1u);
 }
 
 }  // namespace

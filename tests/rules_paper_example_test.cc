@@ -92,7 +92,7 @@ class PaperExampleTest : public ::testing::Test {
   }
 
   uint64_t RecomputesRun() {
-    return db_.executor().stats().tasks_run - updates_run_;
+    return db_.executor().stats().tasks_run.load() - updates_run_;
   }
 
   Database db_;
@@ -114,8 +114,8 @@ TEST_F(PaperExampleTest, NonUniqueRuleRunsOneTaskPerTriggeringTxn) {
   EXPECT_NEAR(CompPrice("c1"), kC1Final, 1e-9);
   EXPECT_NEAR(CompPrice("c2"), kC2Final, 1e-9);
   // Figure 5(a): two distinct transactions T1a and T2a remain enqueued.
-  EXPECT_EQ(db_.rules().stats().tasks_created, 2u);
-  EXPECT_EQ(db_.executor().stats().tasks_run, 2u);
+  EXPECT_EQ(db_.rules().stats().tasks_created.load(), 2u);
+  EXPECT_EQ(db_.executor().stats().tasks_run.load(), 2u);
 }
 
 TEST_F(PaperExampleTest, CoarseUniqueBatchesAcrossTransactions) {
@@ -125,9 +125,9 @@ TEST_F(PaperExampleTest, CoarseUniqueBatchesAcrossTransactions) {
   EXPECT_NEAR(CompPrice("c1"), kC1Final, 1e-9);
   EXPECT_NEAR(CompPrice("c2"), kC2Final, 1e-9);
   // Figure 5(b): T2's firing was appended to T1a's bound table.
-  EXPECT_EQ(db_.rules().stats().tasks_created, 1u);
-  EXPECT_EQ(db_.rules().stats().firings_merged, 1u);
-  EXPECT_EQ(db_.executor().stats().tasks_run, 1u);
+  EXPECT_EQ(db_.rules().stats().tasks_created.load(), 1u);
+  EXPECT_EQ(db_.rules().stats().firings_merged.load(), 1u);
+  EXPECT_EQ(db_.executor().stats().tasks_run.load(), 1u);
 }
 
 TEST_F(PaperExampleTest, UniqueOnCompPartitionsPerComposite) {
@@ -139,9 +139,9 @@ TEST_F(PaperExampleTest, UniqueOnCompPartitionsPerComposite) {
   EXPECT_NEAR(CompPrice("c2"), kC2Final, 1e-9);
   // Figure 5(c): one queued transaction per composite; T2's rows merged
   // into them (T2 touches c1 via s3 and c2 via s2).
-  EXPECT_EQ(db_.rules().stats().tasks_created, 2u);
-  EXPECT_EQ(db_.rules().stats().firings_merged, 2u);
-  EXPECT_EQ(db_.executor().stats().tasks_run, 2u);
+  EXPECT_EQ(db_.rules().stats().tasks_created.load(), 2u);
+  EXPECT_EQ(db_.rules().stats().firings_merged.load(), 2u);
+  EXPECT_EQ(db_.executor().stats().tasks_run.load(), 2u);
 }
 
 TEST_F(PaperExampleTest, DelayWindowSplitsBatches) {
@@ -156,7 +156,7 @@ TEST_F(PaperExampleTest, DelayWindowSplitsBatches) {
   ASSERT_OK(db_.Commit(*t1));
   // Advance virtual time past the 1 s delay window; the queued task runs.
   db_.simulated()->RunUntil(SecondsToMicros(2.0));
-  EXPECT_EQ(db_.executor().stats().tasks_run, 1u);
+  EXPECT_EQ(db_.executor().stats().tasks_run.load(), 1u);
   // T2 at t = 2: a NEW task must be created (the previous one started).
   auto t2 = db_.Begin();
   ASSERT_OK(t2.status());
@@ -166,8 +166,8 @@ TEST_F(PaperExampleTest, DelayWindowSplitsBatches) {
                 .status());
   ASSERT_OK(db_.Commit(*t2));
   db_.simulated()->RunUntilQuiescent();
-  EXPECT_EQ(db_.rules().stats().tasks_created, 2u);
-  EXPECT_EQ(db_.rules().stats().firings_merged, 0u);
+  EXPECT_EQ(db_.rules().stats().tasks_created.load(), 2u);
+  EXPECT_EQ(db_.rules().stats().firings_merged.load(), 0u);
   EXPECT_NEAR(CompPrice("c1"), 0.5 * 31 + 0.5 * 51, 1e-9);
 }
 

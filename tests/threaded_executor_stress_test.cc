@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "strip/obs/metrics.h"
 #include "strip/txn/threaded_executor.h"
 #include "tests/test_util.h"
 
@@ -30,7 +31,8 @@ TEST(ThreadedExecutorStressTest, TasksSpawningTasksAllDrain) {
   // BY running tasks, not just the initially submitted set (the in-flight
   // counter covers children because they are counted before their parent
   // finishes).
-  ThreadedExecutor ex(4);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 4);
   std::atomic<int> runs{0};
   std::atomic<uint64_t> ids{1000};
   std::function<void(int)> spawn = [&](int depth) {
@@ -48,14 +50,15 @@ TEST(ThreadedExecutorStressTest, TasksSpawningTasksAllDrain) {
   for (int i = 0; i < 8; ++i) spawn(2);  // 8 roots * (1 + 2 + 4) = 56
   ex.Drain();
   EXPECT_EQ(runs.load(), 56);
-  EXPECT_EQ(ex.stats().tasks_run, 56u);
+  EXPECT_EQ(ex.stats().tasks_run.load(), 56u);
   ex.Shutdown();
 }
 
 TEST(ThreadedExecutorStressTest, ManyProducersManyTasks) {
   // External producer threads race Submit against the workers; every task
   // must run exactly once and the stats must add up.
-  ThreadedExecutor ex(4, SchedulingPolicy::kFifo, /*dequeue_batch=*/4);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 4, SchedulingPolicy::kFifo, /*dequeue_batch=*/4);
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
   std::atomic<int> runs{0};
@@ -75,9 +78,9 @@ TEST(ThreadedExecutorStressTest, ManyProducersManyTasks) {
   for (auto& p : producers) p.join();
   ex.Drain();
   EXPECT_EQ(runs.load(), kProducers * kPerProducer);
-  EXPECT_EQ(ex.stats().tasks_run,
+  EXPECT_EQ(ex.stats().tasks_run.load(),
             static_cast<uint64_t>(kProducers * kPerProducer));
-  EXPECT_EQ(ex.stats().tasks_failed, 0u);
+  EXPECT_EQ(ex.stats().tasks_failed.load(), 0u);
   ex.Shutdown();
 }
 
@@ -85,7 +88,8 @@ TEST(ThreadedExecutorStressTest, DelayedTasksPromoteInReleaseOrder) {
   // With one worker (one shard, exact ordering) delayed tasks must run in
   // release-time order even when submitted shuffled: the timer thread
   // promotes them from the delay heap as their times arrive.
-  ThreadedExecutor ex(1);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 1);
   std::mutex mu;
   std::vector<uint64_t> order;
   Timestamp base = ex.Now() + SecondsToMicros(0.05);
@@ -111,7 +115,8 @@ TEST(ThreadedExecutorStressTest, DelayedTasksPromoteInReleaseOrder) {
 TEST(ThreadedExecutorStressTest, MixedImmediateAndDelayedDrain) {
   // Drain must cover tasks sitting in the delay queue too: a delayed task
   // is in flight from Submit, so Drain cannot return before it runs.
-  ThreadedExecutor ex(2);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 2);
   std::atomic<int> runs{0};
   for (int i = 0; i < 20; ++i) {
     Timestamp release =
@@ -131,7 +136,8 @@ TEST(ThreadedExecutorStressTest, MixedImmediateAndDelayedDrain) {
 TEST(ThreadedExecutorStressTest, ConcurrentDrainCallers) {
   // Several threads Drain() at once while work is in progress; all must
   // return, and only after every task ran.
-  ThreadedExecutor ex(2);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 2);
   std::atomic<int> runs{0};
   for (int i = 0; i < 100; ++i) {
     auto t = MakeTask(static_cast<uint64_t>(i));
@@ -160,7 +166,8 @@ TEST(ThreadedExecutorStressTest, ShutdownRunsQueuedReadyTasks) {
   std::atomic<int> runs{0};
   std::atomic<int> dropped_runs{0};
   {
-    ThreadedExecutor ex(2);
+    MetricsRegistry metrics;
+    ThreadedExecutor ex(metrics, 2);
     for (int i = 0; i < 200; ++i) {
       auto t = MakeTask(static_cast<uint64_t>(i));
       t->work = [&](TaskControlBlock&) {
@@ -184,7 +191,8 @@ TEST(ThreadedExecutorStressTest, ShutdownRunsQueuedReadyTasks) {
 TEST(ThreadedExecutorStressTest, ObserverSeesEveryFinishedTask) {
   // The task observer runs on worker threads; a mutex-guarded recorder
   // must observe each task exactly once with its finish time stamped.
-  ThreadedExecutor ex(4);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 4);
   std::mutex mu;
   std::vector<uint64_t> seen;
   ex.set_task_observer([&](const TaskControlBlock& t) {
@@ -206,7 +214,8 @@ TEST(ThreadedExecutorStressTest, ObserverSeesEveryFinishedTask) {
 }
 
 TEST(ThreadedExecutorStressTest, FailedTasksCounted) {
-  ThreadedExecutor ex(2);
+  MetricsRegistry metrics;
+  ThreadedExecutor ex(metrics, 2);
   for (int i = 0; i < 10; ++i) {
     auto t = MakeTask(static_cast<uint64_t>(i));
     t->work = [i](TaskControlBlock&) {
@@ -215,8 +224,8 @@ TEST(ThreadedExecutorStressTest, FailedTasksCounted) {
     ex.Submit(std::move(t));
   }
   ex.Drain();
-  EXPECT_EQ(ex.stats().tasks_run, 10u);
-  EXPECT_EQ(ex.stats().tasks_failed, 5u);
+  EXPECT_EQ(ex.stats().tasks_run.load(), 10u);
+  EXPECT_EQ(ex.stats().tasks_failed.load(), 5u);
   ex.Shutdown();
 }
 

@@ -93,8 +93,8 @@ TEST(ThreadedIntegrationTest, BatchedRuleMaintainsTotals) {
                 fresh->rows[i][1].as_double(), 1e-9);
   }
   // Batching happened: far fewer recompute tasks than updates.
-  EXPECT_LT(db.rules().stats().tasks_created, 60u);
-  EXPECT_GT(db.rules().stats().firings_merged, 0u);
+  EXPECT_LT(db.rules().stats().tasks_created.load(), 60u);
+  EXPECT_GT(db.rules().stats().firings_merged.load(), 0u);
 }
 
 TEST(ThreadedIntegrationTest, EveryUniqueFiringCountedOnceCreatedOrMerged) {

@@ -132,7 +132,7 @@ TEST_F(RuleGenTest, AggregationViewMaintainedIncrementally) {
   ASSERT_OK(rs.status());
   EXPECT_DOUBLE_EQ(rs->rows[0][1].as_double(), 15.0);
   EXPECT_DOUBLE_EQ(rs->rows[1][1].as_double(), 50.0);
-  EXPECT_EQ(db_.rules().stats().rules_triggered, 2u);  // not the qty update
+  EXPECT_EQ(db_.rules().stats().rules_triggered.load(), 2u);  // not the qty update
 }
 
 TEST_F(RuleGenTest, AggregationWithJoinDimension) {
@@ -313,10 +313,10 @@ TEST_F(RuleGenTest, GeneratorIndexesViewSoMaintenanceNeverScans) {
   EXPECT_EQ(rs->rows[2][0].as_string(), "jp");
   MetricsRegistry& m = db_.metrics();
   // The two 'eu' updates shared one task: four contributions, one delta.
-  EXPECT_EQ(m.counter("rules.cost.deltas_folded.maintain_rev")->Get(), 3u);
+  EXPECT_EQ(m.counter("rules.cost.deltas_folded.maintain_rev")->load(), 3u);
   for (const char* fn : {"maintain_rev", "maintain_rev_ins",
                          "maintain_rev_del"}) {
-    EXPECT_EQ(m.counter(std::string("rules.cost.rows_scanned.") + fn)->Get(),
+    EXPECT_EQ(m.counter(std::string("rules.cost.rows_scanned.") + fn)->load(),
               0u)
         << fn;
   }
@@ -715,7 +715,7 @@ TEST_F(RuleGenTest, DimChangeFallsBackToRecomputeAndCounts) {
   // The fallback rule on the dimension table rode along.
   EXPECT_NE(db_.rules().FindRule("dim_fallback_idx_members"), nullptr);
   uint64_t before =
-      db_.metrics().counter("viewmaint.dim_fallback_recompute")->Get();
+      db_.metrics().counter("viewmaint.dim_fallback_recompute")->load();
 
   // A dimension change the delta rules cannot see: new member row.
   ASSERT_OK(
@@ -726,7 +726,7 @@ TEST_F(RuleGenTest, DimChangeFallsBackToRecomputeAndCounts) {
   ASSERT_OK(rs.status());
   ASSERT_EQ(rs->num_rows(), 1u);
   EXPECT_DOUBLE_EQ(rs->rows[0][1].as_double(), 10.0 + 0.5 * 20.0);
-  EXPECT_EQ(db_.metrics().counter("viewmaint.dim_fallback_recompute")->Get(),
+  EXPECT_EQ(db_.metrics().counter("viewmaint.dim_fallback_recompute")->load(),
             before + 1);
 
   // Fact-side deltas still work after a refresh.

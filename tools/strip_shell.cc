@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -138,23 +139,23 @@ bool HandleMeta(Database& db, const std::string& line) {
     return true;
   }
   if (cmd == ".stats") {
-    const RuleStats& rs = db.rules().stats();
-    const ExecutorStats& es = db.executor().stats();
+    std::map<std::string, uint64_t> c = db.metrics().CounterValues();
+    auto n = [&c](const char* name) { return (unsigned long long)c[name]; };
     std::printf("rules: %llu triggered, %llu conditions true, "
                 "%llu tasks created, %llu firings merged\n",
-                (unsigned long long)rs.rules_triggered,
-                (unsigned long long)rs.conditions_true,
-                (unsigned long long)rs.tasks_created,
-                (unsigned long long)rs.firings_merged);
+                n("rules.rules_triggered"), n("rules.conditions_true"),
+                n("rules.tasks_created"), n("rules.firings_merged"));
     std::printf("executor: %llu tasks run (%llu failed), busy %.3fs, "
                 "t=%.3fs\n",
-                (unsigned long long)es.tasks_run,
-                (unsigned long long)es.tasks_failed,
-                MicrosToSeconds(es.busy_micros),
+                n("executor.tasks_run"), n("executor.tasks_failed"),
+                MicrosToSeconds(
+                    static_cast<Timestamp>(c["executor.busy_micros"])),
                 MicrosToSeconds(db.Now()));
-    Database::PlanCacheStats ps = db.plan_cache_stats();
-    std::printf("plan cache: %zu entries (cap %zu), %zu hits, %zu misses\n",
-                ps.entries, ps.capacity, ps.hits, ps.misses);
+    std::printf("plan cache: %.0f entries (cap %zu), %llu hits, %llu "
+                "misses\n",
+                db.metrics().GaugeValues()["db.plan_cache.entries"],
+                db.options().plan_cache_capacity, n("db.plan_cache.hits"),
+                n("db.plan_cache.misses"));
     return true;
   }
   if (cmd == ".health") {
