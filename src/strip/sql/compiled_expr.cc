@@ -41,11 +41,9 @@ struct ExprCompiler {
       if (acc.ok()) {
         const BoundInput& in =
             inputs->inputs()[static_cast<size_t>(acc->input)];
-        if (in.is_temp()) {
-          Emit(ExprOpCode::kPushExtra, in.extra_base + acc->column);
-        } else {
-          Emit(ExprOpCode::kPushSlot, in.slot, acc->column);
-        }
+        Emit(in.is_temp() ? ExprOpCode::kPushTempColumn
+                          : ExprOpCode::kPushColumn,
+             acc->input, acc->column);
         return;
       }
       return EmitPseudoOrError(expr, acc.status());
@@ -202,25 +200,30 @@ Result<Value> CompiledExpr::Eval(EvalFrame& frame) const {
         }
         st.push_back((*frame.params)[static_cast<size_t>(op.a)]);
         break;
-      case ExprOpCode::kPushSlot: {
+      case ExprOpCode::kPushColumn: {
         if (frame.null_columns) {
           st.emplace_back();
           break;
         }
-        const RecordRef& rec = frame.row->slots[static_cast<size_t>(op.a)];
-        if (rec == nullptr) {
-          return Status::Internal("compiled read of an unjoined input slot");
+        const Row* row = frame.row[op.a].row;
+        if (row == nullptr) {
+          return Status::Internal("compiled read of an unjoined input");
         }
-        st.push_back(rec->values[static_cast<size_t>(op.b)]);
+        st.push_back(row->rec->values[static_cast<size_t>(op.b)]);
         break;
       }
-      case ExprOpCode::kPushExtra:
+      case ExprOpCode::kPushTempColumn: {
         if (frame.null_columns) {
           st.emplace_back();
           break;
         }
-        st.push_back(frame.row->extras[static_cast<size_t>(op.a)]);
+        const TempTuple* tuple = frame.row[op.a].tuple;
+        if (tuple == nullptr) {
+          return Status::Internal("compiled read of an unjoined input");
+        }
+        st.push_back(frame.temps[op.a]->Get(*tuple, op.b));
         break;
+      }
       case ExprOpCode::kPushRecord:
         if (frame.null_columns) {
           st.emplace_back();

@@ -24,7 +24,10 @@ using AggregateValues = std::unordered_map<const Expr*, Value>;
 /// scratch keep their capacity, so steady-state evaluation allocates
 /// nothing.
 struct EvalFrame {
-  const JoinRow* row = nullptr;   // join-mode programs read slots/extras
+  /// Join mode: the current join row (one cell per input) and, per input,
+  /// the temp table bound to it (null for a standard input).
+  const JoinCell* row = nullptr;
+  const TempTable* const* temps = nullptr;
   const Record* rec = nullptr;    // single-table-mode programs read values
   const std::vector<Value>* params = nullptr;
   const std::map<std::string, Value>* pseudo = nullptr;
@@ -39,8 +42,8 @@ struct EvalFrame {
 enum class ExprOpCode : uint8_t {
   kPushLiteral,    // push literals[a]
   kPushParam,      // push (*params)[a]; error when unbound
-  kPushSlot,       // push row->slots[a]->values[b]     (join mode)
-  kPushExtra,      // push row->extras[a]               (join mode)
+  kPushColumn,     // push row[a].row->rec->values[b]   (join mode)
+  kPushTempColumn, // push temps[a]->Get(*row[a].tuple, b) (join mode)
   kPushRecord,     // push rec->values[a]               (single-table mode)
   kPushPseudo,     // push pseudo lookup of names[a]
   kPushAggregate,  // push the group's value of aggregate node aggs[a]
@@ -77,7 +80,7 @@ struct ExprOp {
 class CompiledExpr {
  public:
   /// Join-row mode: columns resolve through `inputs` (inputs first, then
-  /// pseudo for bare names).
+  /// pseudo for bare names) to a (cell, column) position.
   static CompiledExpr Compile(const Expr& expr, const InputSet& inputs,
                               const std::map<std::string, Value>* pseudo,
                               const ScalarFuncRegistry* funcs);

@@ -12,7 +12,6 @@ void InputSet::Add(std::string name, Table* table) {
   BoundInput in;
   in.name = ToLower(name);
   in.table = table;
-  in.slot = num_slots_++;
   inputs_.push_back(std::move(in));
 }
 
@@ -21,8 +20,6 @@ void InputSet::AddTemp(std::string name, const Schema& schema, int source) {
   in.name = ToLower(name);
   in.temp_schema = &schema;
   in.temp_source = source;
-  in.extra_base = num_extras_;
-  num_extras_ += schema.num_columns();
   inputs_.push_back(std::move(in));
 }
 
@@ -58,33 +55,6 @@ Result<ColumnAccessor> InputSet::Resolve(const std::string& qualifier,
     return Status::NotFound(StrFormat("unknown column '%s'", column.c_str()));
   }
   return found;
-}
-
-const Value& InputSet::Read(const JoinRow& row,
-                            const ColumnAccessor& acc) const {
-  const BoundInput& in = inputs_[static_cast<size_t>(acc.input)];
-  if (in.table != nullptr) {
-    return row.slots[static_cast<size_t>(in.slot)]
-        ->values[static_cast<size_t>(acc.column)];
-  }
-  return row.extras[static_cast<size_t>(in.extra_base + acc.column)];
-}
-
-void InputSet::FillFromStandard(JoinRow& row, int input,
-                                const RecordRef& rec) const {
-  const BoundInput& in = inputs_[static_cast<size_t>(input)];
-  STRIP_CHECK(in.table != nullptr);
-  row.slots[static_cast<size_t>(in.slot)] = rec;
-}
-
-void InputSet::FillFromTemp(JoinRow& row, int input, const TempTable& temp,
-                            const TempTuple& tuple) const {
-  const BoundInput& in = inputs_[static_cast<size_t>(input)];
-  STRIP_CHECK(in.is_temp());
-  int n = in.temp_schema->num_columns();
-  for (int c = 0; c < n; ++c) {
-    row.extras[static_cast<size_t>(in.extra_base + c)] = temp.Get(tuple, c);
-  }
 }
 
 bool IsColumnFree(const Expr& expr) {

@@ -16,18 +16,13 @@ namespace strip {
 
 /// One resolved FROM-clause input: a standard table, or a temporary
 /// (transition / bound) table known at plan time only by its schema and
-/// bound by position at each execution, with its position in intermediate
-/// join rows.
+/// bound by position at each execution. Input i occupies cell i of every
+/// join row.
 struct BoundInput {
   std::string name;               // effective (alias or table) name, lowered
   Table* table = nullptr;         // standard input; null for a temp input
   const Schema* temp_schema = nullptr;  // temp input: the placeholder schema
   int temp_source = -1;           // temp input: its position in the binding
-
-  /// Standard tables contribute one RecordRef slot to join rows; temp
-  /// tables have their columns copied into the join row's extras array.
-  int slot = -1;
-  int extra_base = -1;
 
   const Schema& schema() const {
     return table != nullptr ? table->schema() : *temp_schema;
@@ -43,47 +38,43 @@ struct ColumnAccessor {
   bool valid() const { return input >= 0; }
 };
 
-/// An intermediate row during join processing: one RecordRef per standard
-/// input (pointer scheme, §6.1) plus materialized values for temp-input
-/// columns. Slots for inputs not yet joined are null.
-struct JoinRow {
-  std::vector<RecordRef> slots;
-  std::vector<Value> extras;
+/// One input's cell of a join row. A join row is one cell per input, laid
+/// out flat (row r of an execution starts at cell r * width), and every
+/// cell is a borrowed reference, so building a joined row copies a few
+/// pointers and no value (§6.1):
+///   - a standard input's cell is the table row its scan reached; columns
+///     are read in place through `row->rec`, which the execution's shared
+///     table lock keeps from changing. Only a §6.1 pointer column of the
+///     output takes a RecordRef (a copy of `row->rec`).
+///   - a temp input's cell is a tuple of the temp table bound to it, read
+///     in place through that table's column map.
+/// Cells of inputs not yet joined are null.
+union JoinCell {
+  const Row* row;
+  const TempTuple* tuple;
 };
 
 /// The resolved FROM clause: owns the input descriptors and resolves
 /// column references.
 class InputSet {
  public:
-  /// Adds a standard input; assigns its slot position.
+  /// Adds a standard input.
   void Add(std::string name, Table* table);
   /// Adds a temp input read through `schema` (borrowed; must outlive the
-  /// set) whose table is bound per execution at position `source`;
-  /// assigns its extras positions.
+  /// set) whose table is bound per execution at position `source`.
   void AddTemp(std::string name, const Schema& schema, int source);
 
   const std::vector<BoundInput>& inputs() const { return inputs_; }
-  int num_slots() const { return num_slots_; }
-  int num_extras() const { return num_extras_; }
+  /// Cells per join row: one per input.
+  size_t width() const { return inputs_.size(); }
 
   /// Resolves `qualifier.column` (empty qualifier = search all inputs;
   /// ambiguity is an error). NotFound when no input has the column.
   Result<ColumnAccessor> Resolve(const std::string& qualifier,
                                  const std::string& column) const;
 
-  /// Reads the accessor's value from a join row.
-  const Value& Read(const JoinRow& row, const ColumnAccessor& acc) const;
-
-  /// Fills the join-row positions of input `i` from its scan row: a
-  /// standard input's record, or a tuple of the temp table bound to it.
-  void FillFromStandard(JoinRow& row, int input, const RecordRef& rec) const;
-  void FillFromTemp(JoinRow& row, int input, const TempTable& temp,
-                    const TempTuple& tuple) const;
-
  private:
   std::vector<BoundInput> inputs_;
-  int num_slots_ = 0;
-  int num_extras_ = 0;
 };
 
 /// True when `expr` has no column references: a candidate index-probe key.

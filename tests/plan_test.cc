@@ -1,4 +1,4 @@
-// Unit tests for the planning substrate: InputSet resolution, join-row
+// Unit tests for the planning substrate: InputSet resolution, join-cell
 // access, conjunct splitting and classification.
 
 #include <gtest/gtest.h>
@@ -39,13 +39,16 @@ class PlanTest : public ::testing::Test {
     return e.ok() ? e.take() : nullptr;
   }
 
-  /// Compiles `expr` in join-row mode and runs it against `row`.
+  /// Compiles `expr` in join-row mode and runs it against `row`, with
+  /// `temps[i]` bound to input i.
   static Result<Value> EvalOn(const Expr& expr, const InputSet& inputs,
-                              const JoinRow& row,
+                              const std::vector<JoinCell>& row,
+                              const std::vector<const TempTable*>& temps,
                               const std::map<std::string, Value>* pseudo) {
     CompiledExpr prog = CompiledExpr::Compile(expr, inputs, pseudo, nullptr);
     EvalFrame frame;
-    frame.row = &row;
+    frame.row = row.data();
+    frame.temps = temps.data();
     frame.pseudo = pseudo;
     return prog.Eval(frame);
   }
@@ -78,33 +81,42 @@ TEST_F(PlanTest, BareNameResolutionAndAmbiguity) {
             StatusCode::kNotFound);
 }
 
-TEST_F(PlanTest, JoinRowReadThroughSlotsAndExtras) {
-  // t1 is a standard table (slot); a temp table contributes extras.
+TEST_F(PlanTest, JoinCellsReadRowsAndTempTuplesInPlace) {
+  // t1 is a standard table: its cell is a table row. The temp input's
+  // cell is a tuple, read through its table's column map — here one
+  // pointer-backed column and one materialized column.
   Schema ts;
   ts.AddColumn("x", ValueType::kInt);
-  TempTable temp = TempTable::Materialized("tmp", ts);
+  ts.AddColumn("y", ValueType::kString);
+  TempTable temp("tmp", ts,
+                 {TempColumnMap{TempColumnMap::kMaterializedSlot, 0},
+                  TempColumnMap{0, 1}},
+                 /*num_slots=*/1, /*num_extra=*/1);
   InputSet mixed;
   mixed.Add("t1", &t1_);
   mixed.AddTemp("tmp", temp.schema(), /*source=*/0);
-  EXPECT_EQ(mixed.num_slots(), 1);
-  EXPECT_EQ(mixed.num_extras(), 1);
+  EXPECT_EQ(mixed.width(), 2u);
 
-  JoinRow row;
-  row.slots.resize(1);
-  row.extras.resize(1);
-  RecordRef rec = MakeRecord({Value::Int(7), Value::Str("s")});
-  mixed.FillFromStandard(row, 0, rec);
-  TempTuple tup{{}, {Value::Int(42)}};
-  mixed.FillFromTemp(row, 1, temp, tup);
+  Row row{1, MakeRecord({Value::Int(7), Value::Str("s")})};
+  TempTuple tup{{MakeRecord({Value::Int(0), Value::Str("via pointer")})},
+                {Value::Int(42)}};
+  std::vector<JoinCell> cells(2);
+  cells[0].row = &row;
+  cells[1].tuple = &tup;
+  const std::vector<const TempTable*> temps = {nullptr, &temp};
 
-  ASSERT_OK_AND_ASSIGN(ColumnAccessor a, mixed.Resolve("t1", "a"));
-  EXPECT_EQ(mixed.Read(row, a), Value::Int(7));
-  ASSERT_OK_AND_ASSIGN(ColumnAccessor x, mixed.Resolve("tmp", "x"));
-  EXPECT_EQ(mixed.Read(row, x), Value::Int(42));
-
-  // A compiled program reads the same positions.
-  ASSERT_OK_AND_ASSIGN(Value v, EvalOn(*Parse("x"), mixed, row, nullptr));
+  ASSERT_OK_AND_ASSIGN(Value v,
+                       EvalOn(*Parse("t1.a"), mixed, cells, temps, nullptr));
+  EXPECT_EQ(v, Value::Int(7));
+  ASSERT_OK_AND_ASSIGN(v, EvalOn(*Parse("x"), mixed, cells, temps, nullptr));
   EXPECT_EQ(v, Value::Int(42));
+  ASSERT_OK_AND_ASSIGN(v, EvalOn(*Parse("y"), mixed, cells, temps, nullptr));
+  EXPECT_EQ(v, Value::Str("via pointer"));
+
+  // A cell not yet joined is an internal error, not a crash.
+  cells[1].tuple = nullptr;
+  EXPECT_EQ(EvalOn(*Parse("x"), mixed, cells, temps, nullptr).status().code(),
+            StatusCode::kInternal);
 }
 
 TEST_F(PlanTest, PseudoColumnsResolveAfterInputs) {
@@ -112,16 +124,17 @@ TEST_F(PlanTest, PseudoColumnsResolveAfterInputs) {
       {"commit_time", Value::Int(123)},
       {"a", Value::Int(999)},  // shadowed by t1.a
   };
-  JoinRow row;
-  row.slots.resize(2);
-  row.extras.resize(0);
-  row.slots[0] = MakeRecord({Value::Int(1), Value::Str("x")});
-  row.slots[1] = MakeRecord({Value::Str("y"), Value::Double(2)});
-  ASSERT_OK_AND_ASSIGN(Value v,
-                       EvalOn(*Parse("commit_time"), inputs_, row, &pseudo));
+  Row r1{1, MakeRecord({Value::Int(1), Value::Str("x")})};
+  Row r2{2, MakeRecord({Value::Str("y"), Value::Double(2)})};
+  std::vector<JoinCell> row(2);
+  row[0].row = &r1;
+  row[1].row = &r2;
+  const std::vector<const TempTable*> temps(2, nullptr);
+  ASSERT_OK_AND_ASSIGN(
+      Value v, EvalOn(*Parse("commit_time"), inputs_, row, temps, &pseudo));
   EXPECT_EQ(v, Value::Int(123));
   // Real columns win over pseudo columns.
-  ASSERT_OK_AND_ASSIGN(v, EvalOn(*Parse("a"), inputs_, row, &pseudo));
+  ASSERT_OK_AND_ASSIGN(v, EvalOn(*Parse("a"), inputs_, row, temps, &pseudo));
   EXPECT_EQ(v, Value::Int(1));
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "strip/engine/database.h"
+#include "strip/sql/executor.h"
 #include "strip/sql/parser.h"
 #include "tests/test_util.h"
 
@@ -329,6 +330,209 @@ TEST(SqlErrorsTest, EmptyGlobalGroupReadsNullColumns) {
   ASSERT_EQ(rs.num_rows(), 1u);
   EXPECT_EQ(rs.rows[0][0], Value::Int(0));
   EXPECT_TRUE(rs.rows[0][1].is_null());
+}
+
+// ---------------------------------------------------------------------------
+// Join-pipeline edge cases: shapes the PTA rule conditions never reach.
+// Join rows hold references (a table row per standard input, a tuple per
+// temp input); these pin what reading through them must give.
+// ---------------------------------------------------------------------------
+
+/// A temp table of (k, v) rows, k pointer-backed through its own records
+/// and v materialized, like a rule's bound table.
+TempTable KeyedTemp(const std::string& name,
+                    const std::vector<std::pair<Value, int64_t>>& rows) {
+  Schema s;
+  s.AddColumn("k", ValueType::kString);
+  s.AddColumn("v", ValueType::kInt);
+  TempTable t(name, s,
+              {TempColumnMap{0, 0},
+               TempColumnMap{TempColumnMap::kMaterializedSlot, 0}},
+              /*num_slots=*/1, /*num_extra=*/1);
+  for (const auto& [k, v] : rows) {
+    t.Append(TempTuple{{MakeRecord({k})}, {Value::Int(v)}});
+  }
+  return t;
+}
+
+/// Plans `sql` with `temps` bound by position as temp inputs named after
+/// them, then executes it once.
+Result<TempTable> RunOverTemps(Database& db, const std::string& sql,
+                               const std::vector<const TempTable*>& temps) {
+  STRIP_ASSIGN_OR_RETURN(Statement stmt, Parser::ParseStatement(sql));
+  std::vector<SelectPlan::TempSource> sources;
+  for (const TempTable* t : temps) {
+    sources.push_back(SelectPlan::TempSource{t->name(), &t->schema()});
+  }
+  const SelectStmt& select = std::get<SelectStmt>(stmt);
+  STRIP_ASSIGN_OR_RETURN(
+      SelectPlan plan,
+      SelectPlan::Build(select, &db.catalog(), sources, nullptr, nullptr));
+  ExecContext ctx;
+  ctx.catalog = &db.catalog();
+  SqlExecutor executor(ctx);
+  return executor.Execute(plan, temps, "_result");
+}
+
+TEST(JoinPipelineTest, TwoTempInputsNeverJoinOnNullKeys) {
+  Database db;
+  TempTable a = KeyedTemp(
+      "a", {{Value::Str("x"), 1}, {Value::Null(), 2}, {Value::Str("y"), 3}});
+  TempTable b = KeyedTemp(
+      "b", {{Value::Null(), 10}, {Value::Str("x"), 20}, {Value::Str("x"), 30}});
+  ASSERT_OK_AND_ASSIGN(
+      TempTable out,
+      RunOverTemps(db,
+                   "select a.k, a.v, b.v as w from a, b where a.k = b.k "
+                   "order by w",
+                   {&a, &b}));
+  // Temp columns are materialized in the output, read through each
+  // table's column map: the pointer-backed k as well as v.
+  EXPECT_EQ(out.num_slots(), 0);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.MaterializeRow(0),
+            (std::vector<Value>{Value::Str("x"), Value::Int(1),
+                                Value::Int(20)}));
+  EXPECT_EQ(out.MaterializeRow(1),
+            (std::vector<Value>{Value::Str("x"), Value::Int(1),
+                                Value::Int(30)}));
+}
+
+TEST(JoinPipelineTest, CrossJoinOfTempAndTableWithResidualFilter) {
+  Database db;
+  ASSERT_OK(db.ExecuteScript(R"(
+    create table t (n int);
+    insert into t values (1), (2), (3);
+  )"));
+  TempTable a = KeyedTemp("a", {{Value::Str("p"), 10}, {Value::Str("q"), 20}});
+  ASSERT_OK_AND_ASSIGN(
+      TempTable out,
+      RunOverTemps(db, "select k, n from a, t where v + n > 12 order by k, n",
+                   {&a}));
+  // (p,3) (q,1) (q,2) (q,3)
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out.MaterializeRow(0),
+            (std::vector<Value>{Value::Str("p"), Value::Int(3)}));
+  EXPECT_EQ(out.MaterializeRow(3),
+            (std::vector<Value>{Value::Str("q"), Value::Int(3)}));
+  // n is a pointer column: it points into t's records.
+  EXPECT_EQ(out.num_slots(), 1);
+  ASSERT_OK_AND_ASSIGN(ResultSet cross,
+                       db.Execute("select t.n, m.n from t, t m"));
+  EXPECT_EQ(cross.num_rows(), 9u);
+}
+
+TEST_F(SqlExecutorTest, IndexProbeAppliesPushedDownFilters) {
+  ASSERT_OK(db_.ExecuteScript(R"(
+    create table l (k string, x int);
+    create table r (k string, v int);
+    create index on r (k);
+    insert into l values ('a', 1), ('b', 2);
+    insert into r values ('a', 1), ('a', 5), ('b', 7), ('a', 9);
+  )"));
+  // `col = const` probe plus a filter on the probed rows.
+  ResultSet rs = MustQuery("select v from r where k = 'a' and v > 1 "
+                           "order by v");
+  ASSERT_EQ(rs.num_rows(), 2u);
+  EXPECT_EQ(rs.rows[0][0], Value::Int(5));
+  EXPECT_EQ(rs.rows[1][0], Value::Int(9));
+  // Index-nested-loop into r with r's own filter and a residual conjunct.
+  ASSERT_OK_AND_ASSIGN(std::vector<std::string> plan,
+                       db_.Explain("select l.k, v from l, r "
+                                   "where l.k = r.k and v < 9 and v > x"));
+  bool inl = false;
+  for (const std::string& line : plan) {
+    inl |= line.find("index-nested-loop join r") != std::string::npos;
+  }
+  EXPECT_TRUE(inl);
+  rs = MustQuery("select l.k, v from l, r where l.k = r.k and v < 9 "
+                 "and v > x order by v");
+  ASSERT_EQ(rs.num_rows(), 2u);
+  EXPECT_EQ(rs.rows[0][1], Value::Int(5));
+  EXPECT_EQ(rs.rows[1][0], Value::Str("b"));
+  EXPECT_EQ(rs.rows[1][1], Value::Int(7));
+}
+
+TEST(JoinPipelineTest, DistinctOrderLimitOverPointerColumns) {
+  Database::Options o;
+  o.advance_clock_by_cost = false;
+  Database db(o);
+  ASSERT_OK(db.ExecuteScript(R"(
+    create table t (k string, v int);
+    insert into t values ('a', 1), ('c', 2), ('b', 3), ('c', 4), ('a', 5);
+  )"));
+  ASSERT_OK_AND_ASSIGN(Transaction * txn, db.Begin());
+  ASSERT_OK_AND_ASSIGN(Statement stmt,
+                       Parser::ParseStatement(
+                           "select distinct k from t order by k desc limit 2"));
+  ASSERT_OK_AND_ASSIGN(TempTable out,
+                       db.Query(txn, std::get<SelectStmt>(stmt)));
+  ASSERT_OK(db.Commit(txn));
+  EXPECT_EQ(out.num_slots(), 1);
+  EXPECT_EQ(out.num_extra(), 0);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.Get(0, 0), Value::Str("c"));
+  EXPECT_EQ(out.Get(1, 0), Value::Str("b"));
+  // Each output slot is a record of t.
+  const Table* t = db.catalog().FindTable("t");
+  for (const TempTuple& tuple : out.tuples()) {
+    bool found = false;
+    for (const Row& row : t->rows()) found |= row.rec == tuple.slots[0];
+    EXPECT_TRUE(found);
+  }
+  ASSERT_OK_AND_ASSIGN(
+      ResultSet rs, db.Execute("select k, v from t order by v desc limit 3"));
+  ASSERT_EQ(rs.num_rows(), 3u);
+  EXPECT_EQ(rs.rows[2][1], Value::Int(3));
+}
+
+TEST(JoinPipelineTest, UncompilableColumnFailsOnlyWhenARowReachesIt) {
+  Database db;
+  ASSERT_OK(db.ExecuteScript(R"(
+    create table l (k string); create table r (k string, v int);
+    insert into l values ('a');
+  )"));
+  // nofn compiles to a deferred error: no joined row, no error.
+  ASSERT_OK_AND_ASSIGN(
+      ResultSet rs, db.Execute("select l.k, nofn(v) from l, r where l.k = r.k"));
+  EXPECT_EQ(rs.num_rows(), 0u);
+  ASSERT_OK(db.Execute("insert into r values ('a', 1)").status());
+  EXPECT_EQ(db.Execute("select l.k, nofn(v) from l, r where l.k = r.k")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+}
+
+TEST(JoinPipelineTest, OutputKeepsTheVersionItReadAfterALaterUpdate) {
+  Database::Options o;
+  o.advance_clock_by_cost = false;
+  Database db(o);
+  ASSERT_OK(db.ExecuteScript(R"(
+    create table t (k string, v int);
+    create table u (k string, w int);
+    insert into t values ('a', 1), ('b', 2);
+    insert into u values ('a', 10), ('b', 20);
+  )"));
+  ASSERT_OK_AND_ASSIGN(Transaction * txn, db.Begin());
+  ASSERT_OK_AND_ASSIGN(Statement stmt,
+                       Parser::ParseStatement(
+                           "select t.k, v, w from t, u where t.k = u.k "
+                           "order by v"));
+  ASSERT_OK_AND_ASSIGN(TempTable out,
+                       db.Query(txn, std::get<SelectStmt>(stmt)));
+  ASSERT_OK(db.ExecuteInTxn(txn, "update t set v = v + 100").status());
+  ASSERT_OK(db.ExecuteInTxn(txn, "delete from u where k = 'b'").status());
+  ASSERT_OK(db.Commit(txn));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.MaterializeRow(0),
+            (std::vector<Value>{Value::Str("a"), Value::Int(1),
+                                Value::Int(10)}));
+  EXPECT_EQ(out.MaterializeRow(1),
+            (std::vector<Value>{Value::Str("b"), Value::Int(2),
+                                Value::Int(20)}));
+  ASSERT_OK_AND_ASSIGN(ResultSet now,
+                       db.Execute("select v from t order by v"));
+  EXPECT_EQ(now.rows[0][0], Value::Int(101));
 }
 
 }  // namespace
