@@ -42,17 +42,31 @@ UniqueTxnManager::TaskFactory CountingFactory(uint64_t& ids) {
   };
 }
 
+/// What the rule engine resolves once per plan generation: the home of
+/// the `comp` unique column and the bound tables' layout id.
+struct UniquePath {
+  std::vector<UniqueColumnHome> homes;
+  uint64_t layout = 0;
+};
+
+UniquePath ResolvePath(const BoundTableSet& shape) {
+  std::vector<const Schema*> schemas;
+  for (const TempTable& t : shape.tables()) schemas.push_back(&t.schema());
+  auto homes = ResolveUniqueColumns(schemas, {"comp"});
+  if (!homes.ok()) std::abort();
+  return UniquePath{homes.take(), BoundLayoutId(shape)};
+}
+
 /// One firing down the rule engine's unique path: partition on `comp`,
 /// check against the queued tasks, merge or create. Returns keys merged.
 size_t Fire(UniqueTxnManager& mgr, UniqueTxnManager::FunctionQueue* queue,
-            BoundTableSet&& set, const UniqueTxnManager::TaskFactory& factory,
+            const UniquePath& path, BoundTableSet&& set,
+            const UniqueTxnManager::TaskFactory& factory,
             std::vector<TaskPtr>& created) {
-  auto parts = PartitionByUniqueColumns(set, {"comp"});
-  if (!parts.ok() || !mgr.CheckMergeable(queue, set, *parts).ok()) {
-    std::abort();
-  }
-  return mgr.MergeFiring(queue, std::move(set), *parts, 0, 0, factory,
-                         created);
+  UniquePartition parts = PartitionByUniqueColumns(set, path.homes);
+  if (!mgr.CheckMergeable(queue, path.layout, parts).ok()) std::abort();
+  return mgr.MergeFiring(queue, path.layout, std::move(set), parts, 0, 0,
+                         factory, created);
 }
 
 /// Partitioning cost per firing: rows spread over K distinct keys.
@@ -60,9 +74,10 @@ void BM_PartitionByUniqueColumns(benchmark::State& state) {
   int rows = static_cast<int>(state.range(0));
   int keys = static_cast<int>(state.range(1));
   BoundTableSet set = OneTableSet(MakeBoundTable(rows, keys));
+  const UniquePath path = ResolvePath(set);
   for (auto _ : state) {
-    auto parts = PartitionByUniqueColumns(set, {"comp"});
-    benchmark::DoNotOptimize(parts->keys.size());
+    UniquePartition parts = PartitionByUniqueColumns(set, path.homes);
+    benchmark::DoNotOptimize(parts.num_keys);
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
@@ -80,9 +95,11 @@ void BM_MergeIntoQueuedTask(benchmark::State& state) {
   uint64_t ids = 1;
   auto factory = CountingFactory(ids);
   std::vector<TaskPtr> created;
-  Fire(mgr, queue, OneTableSet(MakeBoundTable(1, 1)), factory, created);
+  const UniquePath path = ResolvePath(OneTableSet(MakeBoundTable(1, 1)));
+  Fire(mgr, queue, path, OneTableSet(MakeBoundTable(1, 1)), factory,
+       created);
   for (auto _ : state) {
-    size_t merged = Fire(mgr, queue, OneTableSet(MakeBoundTable(1, 1)),
+    size_t merged = Fire(mgr, queue, path, OneTableSet(MakeBoundTable(1, 1)),
                          factory, created);
     benchmark::DoNotOptimize(merged);
   }
@@ -98,6 +115,7 @@ void BM_CreatePerDistinctKey(benchmark::State& state) {
   uint64_t ids = 1;
   auto factory = CountingFactory(ids);
   std::vector<TaskPtr> created;
+  const UniquePath path = ResolvePath(OneTableSet(MakeBoundTable(1, 1)));
   int64_t i = 0;
   for (auto _ : state) {
     Schema s;
@@ -105,7 +123,7 @@ void BM_CreatePerDistinctKey(benchmark::State& state) {
     TempTable t = TempTable::Materialized("m", std::move(s));
     t.Append(TempTuple{{}, {Value::Str("k" + std::to_string(i++))}});
     created.clear();
-    Fire(mgr, queue, OneTableSet(std::move(t)), factory, created);
+    Fire(mgr, queue, path, OneTableSet(std::move(t)), factory, created);
     benchmark::DoNotOptimize(created.size());
   }
   state.SetItemsProcessed(state.iterations());
@@ -150,6 +168,7 @@ void BM_PtaFiringMergesTwelveKeys(benchmark::State& state) {
   UniqueTxnManager::FunctionQueue* queue = mgr.EnsureFunction("fn");
   uint64_t ids = 1;
   auto factory = CountingFactory(ids);
+  const UniquePath path = ResolvePath(make_firing());
   std::vector<TaskPtr> queued;
   std::vector<BoundTableSet> pool;
   auto refill = [&] {
@@ -158,7 +177,7 @@ void BM_PtaFiringMergesTwelveKeys(benchmark::State& state) {
       mgr.OnTaskStart(*t);
     }
     queued.clear();
-    Fire(mgr, queue, make_firing(), factory, queued);  // the 12 queued tasks
+    Fire(mgr, queue, path, make_firing(), factory, queued);  // 12 queued
     pool.clear();
     for (int i = 0; i < kPool; ++i) pool.push_back(make_firing());
   };
@@ -172,7 +191,8 @@ void BM_PtaFiringMergesTwelveKeys(benchmark::State& state) {
       next = 0;
       state.ResumeTiming();
     }
-    size_t merged = Fire(mgr, queue, std::move(pool[next++]), factory, created);
+    size_t merged =
+        Fire(mgr, queue, path, std::move(pool[next++]), factory, created);
     if (merged != kKeys) std::abort();
   }
   state.SetItemsProcessed(state.iterations() * kKeys);

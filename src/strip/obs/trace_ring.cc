@@ -36,8 +36,8 @@ TraceRing::TraceRing(size_t capacity) : capacity_(capacity) {
 }
 
 void TraceRing::Record(TraceEventKind kind, uint64_t id, Timestamp ts,
-                       const char* name, uint64_t trace_id) {
-  if (capacity_ == 0) return;
+                       const char* name, uint64_t trace_id, size_t count) {
+  if (capacity_ == 0 || count == 0) return;
   TraceEvent e;
   e.id = id;
   e.trace_id = trace_id;
@@ -52,13 +52,16 @@ void TraceRing::Record(TraceEventKind kind, uint64_t id, Timestamp ts,
   // exporting a trace whose ring order and wall_ts order disagree (events
   // appear to run backwards in time once the ring wraps).
   e.wall_ts = WallMicros();
-  if (next_ >= capacity_) {
-    // The slot we are about to reuse still holds a live event; count the
-    // eviction so consumers can tell a truncated trace from a complete one.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  for (size_t i = 0; i < count; ++i) {
+    if (next_ >= capacity_) {
+      // The slot we are about to reuse still holds a live event; count the
+      // eviction so consumers can tell a truncated trace from a complete
+      // one.
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
+    slots_[next_ % capacity_] = e;
+    ++next_;
   }
-  slots_[next_ % capacity_] = e;
-  ++next_;
 }
 
 uint64_t TraceRing::total_recorded() const {

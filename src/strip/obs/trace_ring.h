@@ -49,8 +49,12 @@ class TraceRing {
   /// capacity == 0 disables the ring: Record() becomes a cheap no-op.
   explicit TraceRing(size_t capacity);
 
+  /// Appends `count` copies of one event under a single lock and clock
+  /// read (a firing merged into several queued tasks records one per
+  /// task).
   void Record(TraceEventKind kind, uint64_t id, Timestamp ts,
-              const char* name = "", uint64_t trace_id = 0);
+              const char* name = "", uint64_t trace_id = 0,
+              size_t count = 1);
 
   bool enabled() const { return capacity_ != 0; }
   size_t capacity() const { return capacity_; }

@@ -143,6 +143,9 @@ std::shared_ptr<const RuleDef::Plans> RuleDef::CurrentPlans(
     auto plans = std::make_shared<Plans>();
     plans->generation = gen;
     plans->status = BuildPlans(*plans, catalog, funcs);
+    if (plans->status.ok() && unique()) {
+      plans->unique_status = ResolveUniquePath(*plans);
+    }
     plans_ = std::move(plans);
   }
   return plans_;
@@ -171,6 +174,29 @@ Status RuleDef::BuildPlans(Plans& plans, const Catalog& catalog,
         SelectPlan::Build(rq.query, &catalog, sources, &kPseudo, funcs));
     plans.evaluate.push_back(std::move(plan));
   }
+  return Status::OK();
+}
+
+Status RuleDef::ResolveUniquePath(Plans& plans) const {
+  // A firing's bound tables, in order: the bound condition queries', then
+  // the bound evaluate queries'. Empty outputs carry their layout.
+  BoundTableSet shells;
+  auto add = [&](const std::vector<RuleQuery>& queries,
+                 const std::vector<SelectPlan>& built) -> Status {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (queries[i].bind_as.empty()) continue;
+      STRIP_RETURN_IF_ERROR(
+          shells.Add(built[i].NewOutput(queries[i].bind_as)));
+    }
+    return Status::OK();
+  };
+  STRIP_RETURN_IF_ERROR(add(stmt_.condition, plans.condition));
+  STRIP_RETURN_IF_ERROR(add(stmt_.evaluate, plans.evaluate));
+  std::vector<const Schema*> schemas;
+  for (const TempTable& t : shells.tables()) schemas.push_back(&t.schema());
+  STRIP_ASSIGN_OR_RETURN(plans.unique_homes,
+                         ResolveUniqueColumns(schemas, stmt_.unique_columns));
+  plans.bound_layout = BoundLayoutId(shells);
   return Status::OK();
 }
 

@@ -9,6 +9,7 @@
 #include "strip/common/clock.h"
 #include "strip/common/status.h"
 #include "strip/sql/ast.h"
+#include "strip/rules/unique_manager.h"
 #include "strip/sql/executor.h"
 #include "strip/storage/catalog.h"
 #include "strip/txn/txn_log.h"
@@ -67,12 +68,21 @@ class RuleDef {
   /// `commit_time` is a pseudo column. A build error (say, a query naming
   /// a dropped table) is kept in `status` and returned at every firing
   /// until DDL changes the catalog.
+  ///
+  /// A unique rule's path is resolved here too, from the bound queries'
+  /// output tables: where each `unique on` column lives and the bound
+  /// tables' layout id. Its error (a unique column in no bound table, or
+  /// in several) is kept in `unique_status` and returned only when the
+  /// rule fires, as partitioning reported it.
   struct Plans {
     uint64_t generation = 0;
     Schema transition_schema;  // the placeholders' schema; plans borrow it
     Status status;
     std::vector<SelectPlan> condition;  // parallel to condition()
     std::vector<SelectPlan> evaluate;   // parallel to evaluate()
+    Status unique_status;
+    std::vector<UniqueColumnHome> unique_homes;
+    uint64_t bound_layout = 0;  // BoundLayoutId of a firing's bound tables
   };
 
   /// The plans for the catalog's current generation, rebuilt when DDL has
@@ -86,6 +96,8 @@ class RuleDef {
 
   Status BuildPlans(Plans& plans, const Catalog& catalog,
                     const ScalarFuncRegistry* funcs) const;
+  /// Resolves `plans`' unique path (see Plans) from its built queries.
+  Status ResolveUniquePath(Plans& plans) const;
 
   CreateRuleStmt stmt_;
   bool enabled_ = true;

@@ -164,12 +164,13 @@ Result<std::optional<RuleEngine::Firing>> RuleEngine::Evaluate(
 
   // Unique transaction path: partition by the unique columns (Appendix A)
   // and make sure every key's rows can join its queued task (§6.3).
+  // The unique columns' homes and the layout id come with the plans.
   if (def.unique()) {
-    STRIP_ASSIGN_OR_RETURN(
-        firing.parts,
-        PartitionByUniqueColumns(firing.bound, def.unique_columns()));
+    STRIP_RETURN_IF_ERROR(plans->unique_status);
+    firing.parts = PartitionByUniqueColumns(firing.bound, plans->unique_homes);
+    firing.layout = plans->bound_layout;
     STRIP_RETURN_IF_ERROR(
-        unique_.CheckMergeable(rule.queue, firing.bound, firing.parts));
+        unique_.CheckMergeable(rule.queue, firing.layout, firing.parts));
   }
   return std::optional<Firing>(std::move(firing));
 }
@@ -185,7 +186,8 @@ void RuleEngine::Dispatch(Firing&& firing, Transaction* txn,
   }
   // Merge each key's rows into its queued task or create one (§6.3).
   size_t merged = unique_.MergeFiring(
-      firing.rule->queue, std::move(firing.bound), firing.parts, change_time,
+      firing.rule->queue, firing.layout, std::move(firing.bound),
+      firing.parts, change_time,
       txn->trace().trace_id,
       [&](const std::vector<Value>&, BoundTableSet&& tables) {
         return NewActionTask(def, commit_time, change_time, txn->trace(),
@@ -194,10 +196,9 @@ void RuleEngine::Dispatch(Firing&& firing, Transaction* txn,
       out);
   stats_.firings_merged.Add(merged);
   if (deps_.trace == nullptr) return;
-  for (size_t i = 0; i < merged; ++i) {
-    deps_.trace->Record(TraceEventKind::kMerge, txn->id(), commit_time,
-                        def.function_name().c_str(), txn->trace().trace_id);
-  }
+  deps_.trace->Record(TraceEventKind::kMerge, txn->id(), commit_time,
+                      def.function_name().c_str(), txn->trace().trace_id,
+                      merged);
 }
 
 Result<std::vector<TaskPtr>> RuleEngine::ProcessCommit(

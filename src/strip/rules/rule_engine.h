@@ -107,6 +107,7 @@ class RuleEngine {
     const Rule* rule = nullptr;
     BoundTableSet bound;
     UniquePartition parts;
+    uint64_t layout = 0;  // the bound tables' BoundLayoutId
   };
 
   /// Phase one of a firing — everything that can fail: runs the rule's

@@ -1,10 +1,12 @@
 #ifndef STRIP_RULES_UNIQUE_MANAGER_H_
 #define STRIP_RULES_UNIQUE_MANAGER_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -19,41 +21,100 @@ namespace strip {
 
 /// A rule firing's bound tables split per unique key (Appendix A), as row
 /// indexes into the firing's own tables: partitioning copies no tuple.
+/// Every array is flat, so a partition costs a handful of allocations
+/// however many keys it has.
 struct UniquePartition {
-  /// Per bound table (BoundTableSet order): its row groups, each in table
-  /// order. A table holding unique columns has one group per distinct
-  /// combination of its unique-column values, in order of first
-  /// appearance; a table holding none has one group of all its rows,
-  /// passed whole to every key.
-  std::vector<std::vector<std::vector<uint32_t>>> groups;
+  /// One bound table's rows, grouped. A table holding unique columns has
+  /// one group per distinct combination of its unique-column values, in
+  /// order of first appearance; a table holding none has one group of all
+  /// its rows, passed whole to every key. Rows keep table order in each
+  /// group.
+  struct TableGroups {
+    std::vector<uint32_t> rows;   // group g: rows[begin[g], begin[g + 1])
+    std::vector<uint32_t> begin;  // num_groups() + 1 offsets
+    /// Per group: the last key receiving it. A merge moves the group's
+    /// tuples into that key's task and copies them to earlier keys, so
+    /// only tuples Appendix A hands to several keys are copied.
+    std::vector<uint32_t> last_key;
 
-  struct Key {
-    std::vector<Value> values;    // in unique_columns order
-    std::vector<uint32_t> group;  // per bound table: the group it receives
+    size_t num_groups() const { return begin.empty() ? 0 : begin.size() - 1; }
   };
-  /// The cross product of the per-table groups (the projection of the
-  /// product relation B of Appendix A), first table varying fastest.
-  std::vector<Key> keys;
+  std::vector<TableGroups> tables;  // BoundTableSet order
 
-  /// Per bound table, per group: the last key receiving it. A merge moves
-  /// the group's tuples into that key's task and copies them to earlier
-  /// keys, so only tuples Appendix A hands to several keys are copied.
-  std::vector<std::vector<uint32_t>> last_key;
+  /// The keys: the cross product of the per-table groups (the projection
+  /// of the product relation B of Appendix A), first table varying
+  /// fastest. Key k's values (in unique_columns order) are
+  /// key_values[k * num_columns, (k + 1) * num_columns), and the group
+  /// each table hands it is key_groups[k * tables.size() + table].
+  size_t num_keys = 0;
+  size_t num_columns = 0;
+  std::vector<Value> key_values;
+  std::vector<uint32_t> key_groups;
 
+  std::span<const Value> Key(size_t key) const {
+    return {key_values.data() + key * num_columns, num_columns};
+  }
+  uint32_t GroupOf(size_t key, size_t table) const {
+    return key_groups[key * tables.size() + table];
+  }
   /// The rows of bound table `table` that key `key` receives.
-  const std::vector<uint32_t>& Rows(size_t key, size_t table) const {
-    return groups[table][keys[key].group[table]];
+  std::span<const uint32_t> Rows(size_t key, size_t table) const {
+    const TableGroups& t = tables[table];
+    const uint32_t g = GroupOf(key, table);
+    return {t.rows.data() + t.begin[g], t.begin[g + 1] - t.begin[g]};
+  }
+  /// True when `key` is the last key receiving its group of `table`.
+  bool IsLastKey(size_t key, size_t table) const {
+    return tables[table].last_key[GroupOf(key, table)] == key;
   }
 };
 
-/// Partitions a firing's bound tables by the unique columns (Appendix A).
-/// With no unique columns the result is a single key with an empty value
-/// receiving every row (coarse `unique`); when a table holding unique
-/// columns is empty there are no keys. Fails if a unique column appears in
-/// no table or in several.
-Result<UniquePartition> PartitionByUniqueColumns(
-    const BoundTableSet& tables,
+/// Where one `unique on` column lives among a rule's bound tables: the
+/// table's position in the firing's BoundTableSet and the column's.
+struct UniqueColumnHome {
+  int table = -1;
+  int column = -1;
+};
+
+/// Resolves `unique_columns` against the schemas of a rule's bound tables,
+/// in BoundTableSet order. Appendix A assumes column names are unique
+/// across the bound tables: NotFound when a column appears in no table,
+/// InvalidArgument when it appears in several. The rule engine resolves
+/// once per plan generation, not per firing.
+Result<std::vector<UniqueColumnHome>> ResolveUniqueColumns(
+    const std::vector<const Schema*>& schemas,
     const std::vector<std::string>& unique_columns);
+
+/// The id of a bound-table set's layout: equal ids mean equal table names
+/// and, per name, an equal schema and column layout (TempTable::SameLayout)
+/// so one set's tuples can be appended to the other's as they are. Ids
+/// are interned process-wide; the rule engine takes one per plan
+/// generation, so the merge check compares two integers.
+uint64_t BoundLayoutId(const BoundTableSet& tables);
+
+/// Partitions a firing's bound tables by the unique columns at `homes`
+/// (Appendix A). With no unique columns the result is a single key with an
+/// empty value receiving every row (coarse `unique`); when a table holding
+/// unique columns is empty there are no keys. Rows are grouped by hashing
+/// their key columns in place: no key is built per row.
+UniquePartition PartitionByUniqueColumns(
+    const BoundTableSet& tables, const std::vector<UniqueColumnHome>& homes);
+
+/// Hash / equality of unique keys that also take a key as a span of
+/// values, so a queue is searched with a partition's key in place.
+struct KeySpanHash {
+  using is_transparent = void;
+  size_t operator()(std::span<const Value> key) const;
+  size_t operator()(const std::vector<Value>& key) const {
+    return (*this)(std::span<const Value>(key));
+  }
+};
+struct KeySpanEq {
+  using is_transparent = void;
+  bool operator()(std::span<const Value> a, std::span<const Value> b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+};
 
 /// Implements unique transactions (§6.3): one hash table per user function
 /// mapping unique-column values to the queued (not yet started) task. Each
@@ -76,9 +137,14 @@ class UniqueTxnManager {
   /// values. Handles are stable for the manager's lifetime; only the
   /// manager reads or writes their contents.
   struct FunctionQueue {
+    /// A queued task and the BoundLayoutId of its bound tables.
+    struct Entry {
+      TaskPtr task;
+      uint64_t layout = 0;
+    };
     mutable SpinLock lock;
-    std::unordered_map<std::vector<Value>, TaskPtr, ValueVectorHash,
-                       ValueVectorEq>
+    /// Looked up by a partition's key values in place (KeySpanHash).
+    std::unordered_map<std::vector<Value>, Entry, KeySpanHash, KeySpanEq>
         queued;
   };
 
@@ -94,14 +160,14 @@ class UniqueTxnManager {
 
   /// The check a firing passes before anything of its commit is merged:
   /// fails (Internal) when a queued, not yet started task for one of
-  /// `parts`' keys holds bound tables whose names, schemas or layouts
-  /// differ from `tables`, so the firing's rows could not be appended.
-  Status CheckMergeable(const FunctionQueue* queue,
-                        const BoundTableSet& tables,
+  /// `parts`' keys holds bound tables of another layout than `layout` (the
+  /// firing's BoundLayoutId), so the firing's rows could not be appended.
+  Status CheckMergeable(const FunctionQueue* queue, uint64_t layout,
                         const UniquePartition& parts) const;
 
-  /// Folds one firing into the queue: for each key of `parts`, in order,
-  /// appends the key's rows of `tables` to the queued task for the key —
+  /// Folds one firing, whose bound tables have layout id `layout`, into
+  /// the queue: for each key of `parts`, in order, appends the key's rows
+  /// of `tables` to the queued task for the key —
   /// moving each tuple into the last key that receives it and copying it
   /// to earlier ones — or builds the key's tables and a fresh task through
   /// `factory`, registers it and appends it to `created` (the caller
@@ -114,7 +180,8 @@ class UniqueTxnManager {
   /// fold `change_time` under its merge lock; a merged firing appends
   /// `parent_trace_id` (0 = untraced) to merged_parent_traces so the
   /// causal link survives the fold. Returns the number of keys merged.
-  size_t MergeFiring(FunctionQueue* queue, BoundTableSet&& tables,
+  size_t MergeFiring(FunctionQueue* queue, uint64_t layout,
+                     BoundTableSet&& tables,
                      const UniquePartition& parts, Timestamp change_time,
                      uint64_t parent_trace_id, const TaskFactory& factory,
                      std::vector<TaskPtr>& created);

@@ -32,6 +32,26 @@ std::vector<Value> Strs(std::initializer_list<const char*> vs) {
   return out;
 }
 
+/// Resolves `unique_columns` against `set`'s tables and partitions it, as
+/// the rule engine does across a plan generation and a firing.
+Result<UniquePartition> Partition(
+    const BoundTableSet& set, const std::vector<std::string>& unique_columns) {
+  std::vector<const Schema*> schemas;
+  for (const TempTable& t : set.tables()) schemas.push_back(&t.schema());
+  STRIP_ASSIGN_OR_RETURN(std::vector<UniqueColumnHome> homes,
+                         ResolveUniqueColumns(schemas, unique_columns));
+  return PartitionByUniqueColumns(set, homes);
+}
+
+/// Key `k` of `parts`, and the rows table `t` hands it, as vectors.
+std::vector<Value> KeyOf(const UniquePartition& parts, size_t k) {
+  return {parts.Key(k).begin(), parts.Key(k).end()};
+}
+std::vector<uint32_t> RowsOf(const UniquePartition& parts, size_t k,
+                             size_t t) {
+  return {parts.Rows(k, t).begin(), parts.Rows(k, t).end()};
+}
+
 /// Rows bound table `name` of `set` contributes to key `k` of `parts`.
 size_t RowsOf(const UniquePartition& parts, const BoundTableSet& set,
               size_t k, const std::string& name) {
@@ -46,9 +66,9 @@ TEST(PartitionTest, EmptyUniqueColumnsGivesOnePartition) {
   BoundTableSet set;
   ASSERT_OK(set.Add(MakeBound("m", {"comp"}, {Strs({"c1"}), Strs({"c2"})})));
   ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                       PartitionByUniqueColumns(set, {}));
-  ASSERT_EQ(parts.keys.size(), 1u);
-  EXPECT_TRUE(parts.keys[0].values.empty());
+                       Partition(set, {}));
+  ASSERT_EQ(parts.num_keys, 1u);
+  EXPECT_TRUE(parts.Key(0).empty());
   EXPECT_EQ(RowsOf(parts, set, 0, "m"), 2u);
 }
 
@@ -59,9 +79,9 @@ TEST(PartitionTest, SingleTablePartitionsByDistinctValues) {
                               {Strs({"c1", "s1"}), Strs({"c2", "s1"}),
                                Strs({"c2", "s2"})})));
   ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                       PartitionByUniqueColumns(set, {"comp"}));
-  ASSERT_EQ(parts.keys.size(), 2u);
-  size_t c1 = parts.keys[0].values[0] == Value::Str("c1") ? 0 : 1;
+                       Partition(set, {"comp"}));
+  ASSERT_EQ(parts.num_keys, 2u);
+  size_t c1 = parts.Key(0)[0] == Value::Str("c1") ? 0 : 1;
   size_t c2 = 1 - c1;
   EXPECT_EQ(RowsOf(parts, set, c1, "matches"), 1u);
   EXPECT_EQ(RowsOf(parts, set, c2, "matches"), 2u);
@@ -73,9 +93,9 @@ TEST(PartitionTest, TablesWithoutUniqueColumnsArePassedWhole) {
   ASSERT_OK(set.Add(MakeBound("m", {"comp"}, {Strs({"c1"}), Strs({"c2"})})));
   ASSERT_OK(set.Add(MakeBound("aux", {"x"}, {Strs({"a"}), Strs({"b"})})));
   ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                       PartitionByUniqueColumns(set, {"comp"}));
-  ASSERT_EQ(parts.keys.size(), 2u);
-  for (size_t k = 0; k < parts.keys.size(); ++k) {
+                       Partition(set, {"comp"}));
+  ASSERT_EQ(parts.num_keys, 2u);
+  for (size_t k = 0; k < parts.num_keys; ++k) {
     EXPECT_EQ(RowsOf(parts, set, k, "m"), 1u);
     EXPECT_EQ(RowsOf(parts, set, k, "aux"), 2u);
   }
@@ -87,10 +107,10 @@ TEST(PartitionTest, MultiColumnKeyWithinOneTable) {
                               {Strs({"x", "1"}), Strs({"x", "2"}),
                                Strs({"x", "1"})})));
   ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                       PartitionByUniqueColumns(set, {"a", "b"}));
-  ASSERT_EQ(parts.keys.size(), 2u);
-  for (size_t k = 0; k < parts.keys.size(); ++k) {
-    const std::vector<Value>& key = parts.keys[k].values;
+                       Partition(set, {"a", "b"}));
+  ASSERT_EQ(parts.num_keys, 2u);
+  for (size_t k = 0; k < parts.num_keys; ++k) {
+    const std::vector<Value> key = KeyOf(parts, k);
     ASSERT_EQ(key.size(), 2u);
     if (key[1] == Value::Str("1")) {
       EXPECT_EQ(RowsOf(parts, set, k, "m"), 2u);
@@ -107,9 +127,9 @@ TEST(PartitionTest, UniqueColumnsSpanningTwoTablesCrossProduct) {
   ASSERT_OK(set.Add(MakeBound("m1", {"a"}, {Strs({"x"}), Strs({"y"})})));
   ASSERT_OK(set.Add(MakeBound("m2", {"b"}, {Strs({"1"}), Strs({"2"})})));
   ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                       PartitionByUniqueColumns(set, {"a", "b"}));
-  ASSERT_EQ(parts.keys.size(), 4u);  // {x,y} x {1,2}
-  for (size_t k = 0; k < parts.keys.size(); ++k) {
+                       Partition(set, {"a", "b"}));
+  ASSERT_EQ(parts.num_keys, 4u);  // {x,y} x {1,2}
+  for (size_t k = 0; k < parts.num_keys; ++k) {
     EXPECT_EQ(RowsOf(parts, set, k, "m1"), 1u);
     EXPECT_EQ(RowsOf(parts, set, k, "m2"), 1u);
   }
@@ -119,32 +139,32 @@ TEST(PartitionTest, KeyOrderFollowsUniqueColumnsDeclaration) {
   BoundTableSet set;
   ASSERT_OK(set.Add(MakeBound("m", {"a", "b"}, {Strs({"x", "1"})})));
   ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                       PartitionByUniqueColumns(set, {"b", "a"}));
-  ASSERT_EQ(parts.keys.size(), 1u);
-  EXPECT_EQ(parts.keys[0].values[0], Value::Str("1"));  // b first
-  EXPECT_EQ(parts.keys[0].values[1], Value::Str("x"));
+                       Partition(set, {"b", "a"}));
+  ASSERT_EQ(parts.num_keys, 1u);
+  EXPECT_EQ(parts.Key(0)[0], Value::Str("1"));  // b first
+  EXPECT_EQ(parts.Key(0)[1], Value::Str("x"));
 }
 
 TEST(PartitionTest, EmptyUniqueTableYieldsNoPartitions) {
   BoundTableSet set;
   ASSERT_OK(set.Add(MakeBound("m", {"comp"}, {})));
   ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                       PartitionByUniqueColumns(set, {"comp"}));
-  EXPECT_TRUE(parts.keys.empty());
+                       Partition(set, {"comp"}));
+  EXPECT_EQ(parts.num_keys, 0u);
 }
 
 TEST(PartitionTest, Errors) {
   {
     BoundTableSet set;
     ASSERT_OK(set.Add(MakeBound("m", {"a"}, {Strs({"x"})})));
-    EXPECT_EQ(PartitionByUniqueColumns(set, {"nope"}).status().code(),
+    EXPECT_EQ(Partition(set, {"nope"}).status().code(),
               StatusCode::kNotFound);
   }
   {
     BoundTableSet set;
     ASSERT_OK(set.Add(MakeBound("m1", {"a"}, {Strs({"x"})})));
     ASSERT_OK(set.Add(MakeBound("m2", {"a"}, {Strs({"y"})})));
-    EXPECT_EQ(PartitionByUniqueColumns(set, {"a"}).status().code(),
+    EXPECT_EQ(Partition(set, {"a"}).status().code(),
               StatusCode::kInvalidArgument);  // ambiguous column home
   }
 }
@@ -159,17 +179,17 @@ TEST(PartitionTest, GroupsKeepTableOrderAndNameTheirLastKey) {
                                Strs({"x", "3"})})));
   ASSERT_OK(set.Add(MakeBound("m2", {"b"}, {Strs({"p"}), Strs({"q"})})));
   ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                       PartitionByUniqueColumns(set, {"a", "b"}));
-  ASSERT_EQ(parts.keys.size(), 4u);
+                       Partition(set, {"a", "b"}));
+  ASSERT_EQ(parts.num_keys, 4u);
   // First table varies fastest: (x,p) (y,p) (x,q) (y,q).
-  EXPECT_EQ(parts.keys[0].values, Strs({"x", "p"}));
-  EXPECT_EQ(parts.keys[1].values, Strs({"y", "p"}));
-  EXPECT_EQ(parts.keys[2].values, Strs({"x", "q"}));
-  EXPECT_EQ(parts.keys[3].values, Strs({"y", "q"}));
-  EXPECT_EQ(parts.Rows(0, 0), (std::vector<uint32_t>{0, 2}));
-  EXPECT_EQ(parts.Rows(1, 0), (std::vector<uint32_t>{1}));
-  EXPECT_EQ(parts.last_key[0], (std::vector<uint32_t>{2, 3}));
-  EXPECT_EQ(parts.last_key[1], (std::vector<uint32_t>{1, 3}));
+  EXPECT_EQ(KeyOf(parts, 0), Strs({"x", "p"}));
+  EXPECT_EQ(KeyOf(parts, 1), Strs({"y", "p"}));
+  EXPECT_EQ(KeyOf(parts, 2), Strs({"x", "q"}));
+  EXPECT_EQ(KeyOf(parts, 3), Strs({"y", "q"}));
+  EXPECT_EQ(RowsOf(parts, 0, 0), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(RowsOf(parts, 1, 0), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(parts.tables[0].last_key, (std::vector<uint32_t>{2, 3}));
+  EXPECT_EQ(parts.tables[1].last_key, (std::vector<uint32_t>{1, 3}));
 }
 
 // ---------------------------------------------------------------------------
@@ -183,13 +203,15 @@ TaskPtr FireOnce(UniqueTxnManager& mgr, const std::string& fn,
                  BoundTableSet tables,
                  const std::vector<std::string>& unique_columns,
                  const UniqueTxnManager::TaskFactory& factory) {
-  auto parts = PartitionByUniqueColumns(tables, unique_columns);
+  auto parts = Partition(tables, unique_columns);
   EXPECT_TRUE(parts.ok()) << parts.status().ToString();
   if (!parts.ok()) return nullptr;
   UniqueTxnManager::FunctionQueue* queue = mgr.EnsureFunction(fn);
-  EXPECT_OK(mgr.CheckMergeable(queue, tables, *parts));
+  const uint64_t layout = BoundLayoutId(tables);
+  EXPECT_OK(mgr.CheckMergeable(queue, layout, *parts));
   std::vector<TaskPtr> created;
-  mgr.MergeFiring(queue, std::move(tables), *parts, /*change_time=*/0,
+  mgr.MergeFiring(queue, layout, std::move(tables), *parts,
+                  /*change_time=*/0,
                   /*parent_trace_id=*/0, factory, created);
   EXPECT_LE(created.size(), 1u);
   return created.empty() ? nullptr : created[0];
@@ -292,12 +314,13 @@ TEST_F(UniqueTxnManagerTest, OneFiringMergesEachKeyInOrder) {
     return set;
   };
   auto fire = [&](BoundTableSet set, std::vector<TaskPtr>& created) {
-    auto parts = PartitionByUniqueColumns(set, {"comp"});
+    auto parts = Partition(set, {"comp"});
     EXPECT_TRUE(parts.ok());
     UniqueTxnManager::FunctionQueue* queue = mgr_.EnsureFunction("fn");
-    EXPECT_OK(mgr_.CheckMergeable(queue, set, *parts));
-    return mgr_.MergeFiring(queue, std::move(set), *parts, 0, 0, Factory(),
-                            created);
+    const uint64_t layout = BoundLayoutId(set);
+    EXPECT_OK(mgr_.CheckMergeable(queue, layout, *parts));
+    return mgr_.MergeFiring(queue, layout, std::move(set), *parts, 0, 0,
+                            Factory(), created);
   };
   std::vector<TaskPtr> created;
   EXPECT_EQ(fire(firing({Strs({"c1", "0"}), Strs({"c2", "0"})}), created),
@@ -330,13 +353,15 @@ TEST_F(UniqueTxnManagerTest, LayoutMismatchFailsTheCheckNotTheMerge) {
   ASSERT_OK(wide.Add(MakeBound("m", {"comp", "extra"},
                                {Strs({"c1", "x"})})));
   ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                       PartitionByUniqueColumns(wide, {"comp"}));
+                       Partition(wide, {"comp"}));
   UniqueTxnManager::FunctionQueue* queue = mgr_.EnsureFunction("fn");
-  EXPECT_EQ(mgr_.CheckMergeable(queue, wide, parts).code(),
+  const uint64_t layout = BoundLayoutId(wide);
+  EXPECT_NE(layout, BoundLayoutId(OneRowSet("c1")));
+  EXPECT_EQ(mgr_.CheckMergeable(queue, layout, parts).code(),
             StatusCode::kInternal);
   std::vector<TaskPtr> created;
-  EXPECT_EQ(mgr_.MergeFiring(queue, std::move(wide), parts, 0, 0, Factory(),
-                             created),
+  EXPECT_EQ(mgr_.MergeFiring(queue, layout, std::move(wide), parts, 0, 0,
+                             Factory(), created),
             0u);
   ASSERT_EQ(created.size(), 1u);
   EXPECT_NE(created[0], t1);
@@ -471,11 +496,12 @@ TEST_F(UniqueTxnManagerTest, CrossProductCopiesOnlySharedTuples) {
     other.Append(TempTuple{{aux}, {}});
     ASSERT_OK(firing.Add(std::move(other)));
     ASSERT_OK_AND_ASSIGN(UniquePartition parts,
-                         PartitionByUniqueColumns(firing, {"comp"}));
-    ASSERT_EQ(parts.keys.size(), 2u);
+                         Partition(firing, {"comp"}));
+    ASSERT_EQ(parts.num_keys, 2u);
     std::vector<TaskPtr> created;
-    mgr_.MergeFiring(mgr_.EnsureFunction("fn"), std::move(firing), parts, 0,
-                     0, Factory(), created);
+    const uint64_t layout = BoundLayoutId(firing);
+    mgr_.MergeFiring(mgr_.EnsureFunction("fn"), layout, std::move(firing),
+                     parts, 0, 0, Factory(), created);
     ASSERT_EQ(created.size(), 2u);
     EXPECT_EQ(c1.use_count(), 2);   // ours + key c1's task
     EXPECT_EQ(c2.use_count(), 2);   // ours + key c2's task
