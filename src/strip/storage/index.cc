@@ -1,24 +1,29 @@
 #include "strip/storage/index.h"
 
+#include <algorithm>
+
 namespace strip {
 
 void HashIndex::Insert(const Value& key, RowHandle row) {
-  map_.emplace(key, row);
+  map_[key].push_back(row);
+  ++size_;
 }
 
 void HashIndex::Erase(const Value& key, RowHandle row) {
-  auto [lo, hi] = map_.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == row) {
-      map_.erase(it);
-      return;
-    }
-  }
+  auto it = map_.find(key);
+  if (it == map_.end()) return;
+  std::vector<RowHandle>& rows = it->second;
+  auto pos = std::find(rows.begin(), rows.end(), row);
+  if (pos == rows.end()) return;
+  rows.erase(pos);
+  --size_;
+  if (rows.empty()) map_.erase(it);
 }
 
 void HashIndex::Lookup(const Value& key, std::vector<RowHandle>& out) const {
-  auto [lo, hi] = map_.equal_range(key);
-  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+  auto it = map_.find(key);
+  if (it == map_.end()) return;
+  out.insert(out.end(), it->second.rbegin(), it->second.rend());
 }
 
 void RbTreeIndex::Insert(const Value& key, RowHandle row) {

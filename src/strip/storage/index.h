@@ -45,7 +45,9 @@ class Index {
   IndexKind kind_;
 };
 
-/// Hash index: O(1) expected equality lookup.
+/// Hash index: O(1) expected equality lookup. Each key's rows sit in one
+/// array, so a lookup costs one hash probe however many rows share the
+/// key. Lookup returns a key's rows newest first.
 class HashIndex final : public Index {
  public:
   HashIndex(std::string name, int column)
@@ -54,10 +56,11 @@ class HashIndex final : public Index {
   void Insert(const Value& key, RowHandle row) override;
   void Erase(const Value& key, RowHandle row) override;
   void Lookup(const Value& key, std::vector<RowHandle>& out) const override;
-  size_t size() const override { return map_.size(); }
+  size_t size() const override { return size_; }
 
  private:
-  std::unordered_multimap<Value, RowHandle, ValueHash> map_;
+  std::unordered_map<Value, std::vector<RowHandle>, ValueHash> map_;
+  size_t size_ = 0;  // rows indexed
 };
 
 /// Red-black-tree index (§6.1): ordered, supports range scans. Backed by
