@@ -88,8 +88,7 @@ void Database::RecordActionCommit(TaskControlBlock& task) {
   // Per-rule (per user function) staleness distribution: the age of the
   // oldest batched change each firing consumed — the paper's batching-vs-
   // staleness tradeoff, measurable per delay window.
-  metrics_.histogram("rules.staleness_us." + task.function_name)
-      ->Observe(staleness);
+  rule_cost_->Handles(task.function_name)->staleness_us->Observe(staleness);
   batch_factor_hist_->Observe(task.batched_firings);
 }
 

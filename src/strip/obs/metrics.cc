@@ -39,16 +39,19 @@ Histogram::Histogram(std::vector<int64_t> bounds)
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
 }
 
-std::vector<int64_t> Histogram::DefaultLatencyBoundsMicros() {
+const std::vector<int64_t>& Histogram::DefaultLatencyBoundsMicros() {
   // 1, 3, 10, 30, ... microseconds up to 1000 s: ~2 buckets per decade
   // bounds the p-estimate error to ~sqrt(10)x while keeping the histogram
   // at 19 atomics.
-  std::vector<int64_t> b;
-  for (int64_t decade = 1; decade <= 1'000'000'000; decade *= 10) {
-    b.push_back(decade);
-    b.push_back(decade * 3);
-  }
-  return b;
+  static const std::vector<int64_t> bounds = [] {
+    std::vector<int64_t> b;
+    for (int64_t decade = 1; decade <= 1'000'000'000; decade *= 10) {
+      b.push_back(decade);
+      b.push_back(decade * 3);
+    }
+    return b;
+  }();
+  return bounds;
 }
 
 std::vector<int64_t> Histogram::DefaultCountBounds() {
@@ -138,12 +141,12 @@ Gauge* MetricsRegistry::gauge(const std::string& name) {
 }
 
 Histogram* MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<int64_t> bounds) {
+                                      const std::vector<int64_t>& bounds) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
-             .emplace(name, std::make_unique<Histogram>(std::move(bounds)))
+             .emplace(name, std::make_unique<Histogram>(bounds))
              .first;
   }
   return it->second.get();

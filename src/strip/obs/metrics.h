@@ -46,7 +46,7 @@ class Histogram {
 
   /// Exponential 1us..1000s bounds (~2 buckets per decade), the default
   /// for every latency / staleness histogram in the system.
-  static std::vector<int64_t> DefaultLatencyBoundsMicros();
+  static const std::vector<int64_t>& DefaultLatencyBoundsMicros();
   /// Small linear bounds 1..64 doubling, for count-like distributions
   /// (e.g. firings batched per recompute task).
   static std::vector<int64_t> DefaultCountBounds();
@@ -99,7 +99,7 @@ class MetricsRegistry {
   Gauge* gauge(const std::string& name);
   /// First call for a name fixes its bounds; later calls ignore `bounds`.
   Histogram* histogram(const std::string& name,
-                       std::vector<int64_t> bounds =
+                       const std::vector<int64_t>& bounds =
                            Histogram::DefaultLatencyBoundsMicros());
 
   /// Registers (or replaces) a pull gauge evaluated at snapshot time.

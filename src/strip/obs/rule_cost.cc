@@ -18,6 +18,8 @@ const RuleCostHandles* RuleCostTracker::Handles(
   h->lock_wait_us =
       registry_->histogram("rules.lock_wait_us." + function_name);
   h->exec_us = registry_->histogram("rules.exec_us." + function_name);
+  h->staleness_us =
+      registry_->histogram("rules.staleness_us." + function_name);
   h->cpu_micros = registry_->counter("rules.cost.cpu_micros." + function_name);
   h->rows_scanned =
       registry_->counter("rules.cost.rows_scanned." + function_name);

@@ -16,6 +16,8 @@ namespace strip {
 ///   rules.queue_wait_us.<fn>    release -> start (histogram)
 ///   rules.lock_wait_us.<fn>     blocked in wait-die acquisition (histogram)
 ///   rules.exec_us.<fn>          action body CPU time (histogram)
+///   rules.staleness_us.<fn>     oldest batched change -> action commit
+///                               (histogram)
 ///   rules.cost.cpu_micros.<fn>      total CPU micros (counter)
 ///   rules.cost.rows_scanned.<fn>    rows touched by batched scans (counter)
 ///   rules.cost.deltas_folded.<fn>   group deltas netted away (counter)
@@ -24,6 +26,7 @@ struct RuleCostHandles {
   Histogram* queue_wait_us = nullptr;
   Histogram* lock_wait_us = nullptr;
   Histogram* exec_us = nullptr;
+  Histogram* staleness_us = nullptr;
   Counter* cpu_micros = nullptr;
   Counter* rows_scanned = nullptr;
   Counter* deltas_folded = nullptr;
@@ -31,8 +34,9 @@ struct RuleCostHandles {
 };
 
 /// Resolves and caches per-rule instrument handles. MetricsRegistry takes
-/// a mutex per lookup, far too slow for the executor's task-finish path;
-/// this tracker resolves each function's seven handles once and afterwards
+/// a mutex per lookup, far too slow for the executor's task-finish and
+/// action-commit paths; this tracker resolves each function's eight
+/// handles once and afterwards
 /// serves them from a spinlock-guarded map (one tiny find per task).
 class RuleCostTracker {
  public:
