@@ -66,6 +66,7 @@ Result<PtaRunResult> PtaExperiment::Run() {
     double update_response_total = 0;
     std::vector<double> staleness_seconds;
     uint64_t firings_consumed = 0;
+    uint64_t tuples_consumed = 0;
     db_->executor().set_task_observer([&](const TaskControlBlock& t) {
       double cpu = static_cast<double>(t.cpu_nanos) / 1000.0;
       if (IsRecomputeFunction(t.function_name)) {
@@ -76,6 +77,7 @@ Result<PtaRunResult> PtaExperiment::Run() {
               static_cast<double>(t.commit_staleness_micros) / 1e6);
         }
         firings_consumed += t.batched_firings;
+        tuples_consumed += t.bound_tables.TotalTuples();
       } else {
         result.update_cpu_seconds += cpu / 1e6;
         double response =
@@ -123,6 +125,9 @@ Result<PtaRunResult> PtaExperiment::Run() {
     if (result.num_recomputes > 0) {
       result.avg_batching_factor =
           static_cast<double>(firings_consumed) /
+          static_cast<double>(result.num_recomputes);
+      result.avg_recompute_tuples =
+          static_cast<double>(tuples_consumed) /
           static_cast<double>(result.num_recomputes);
     }
     result.metrics_json = db_->metrics().SnapshotJson();

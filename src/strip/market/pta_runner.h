@@ -30,6 +30,9 @@ struct PtaRunResult {
   double recompute_cpu_fraction = 0;
   double total_cpu_fraction = 0;
   double avg_recompute_micros = 0;    // recompute transaction length
+  /// Bound tuples per recompute transaction: the work each recompute was
+  /// handed, a deterministic stand-in for its length.
+  double avg_recompute_tuples = 0;
   /// Response time of update transactions (release -> finish on the
   /// virtual clock): the schedulability metric behind the paper's
   /// preference for short recompute transactions (§5.1). Long-running
