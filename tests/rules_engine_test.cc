@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "strip/engine/database.h"
 #include "tests/test_util.h"
 
@@ -448,6 +450,98 @@ TEST_F(RulesEngineTest, ConditionOnMissingTableFailsUntilItExists) {
   ASSERT_EQ(a.num_rows(), 1u);  // the failed commits left nothing behind
   EXPECT_EQ(a.rows[0][2], Value::Int(2));
   EXPECT_EQ(db_.rules().stats().conditions_true.load(), 1u);
+}
+
+TEST_F(RulesEngineTest, MultiColumnUniqueOnSpansTwoBoundTables) {
+  // `unique on a, b` with a in one bound table and b in another: each
+  // firing is split over the cross product of their groups (Appendix A),
+  // and a later firing for one of those keys merges into its task.
+  std::vector<std::string> ran;  // per task: key, then rows per table
+  ASSERT_OK(db_.RegisterFunction("pair_fn", [&](FunctionContext& ctx) {
+    std::string line;
+    for (const Value& v : ctx.task().unique_key) line += v.ToString() + ",";
+    line += std::to_string(ctx.BoundTable("lhs")->size()) + "/" +
+            std::to_string(ctx.BoundTable("rhs")->size());
+    ran.push_back(line);
+    return Status::OK();
+  }));
+  ASSERT_OK(db_.Execute(R"(
+    create rule r on t when inserted
+    if select k as a, v as av from inserted bind as lhs
+    then evaluate select k as b, v as bv from inserted bind as rhs
+    execute pair_fn unique on a, b after 1 seconds
+  )").status());
+  ASSERT_OK(db_.Execute("insert into t values ('x', 1), ('y', 2)").status());
+  ASSERT_OK(db_.Execute("insert into t values ('x', 3)").status());
+  db_.simulated()->RunUntilQuiescent();
+  EXPECT_EQ(db_.rules().stats().tasks_created.load(), 4u);
+  EXPECT_EQ(db_.rules().stats().firings_merged.load(), 1u);
+  // One task per (a, b) pair; (x, x) also took the second firing's rows.
+  std::sort(ran.begin(), ran.end());
+  EXPECT_EQ(ran, (std::vector<std::string>{"x,x,2/2", "x,y,1/1", "y,x,1/1",
+                                           "y,y,1/1"}));
+}
+
+TEST_F(RulesEngineTest, UniquePathFollowsPlanRebuildsAfterDdl) {
+  // The unique path is resolved per plan generation. DDL that reshapes a
+  // bound `select *` query must never let a firing merge into a task
+  // queued under the old layout, and a unique column the new shape puts
+  // in no bound table, or in two, fails the firing as it always did —
+  // but only a firing: a commit whose condition is false still succeeds.
+  ASSERT_OK(db_.RegisterFunction(
+      "uf", [](FunctionContext&) { return Status::OK(); }));
+  ASSERT_OK(db_.ExecuteScript(R"(
+    create table m1 (k string, x int);
+    create table m2 (y int);
+    insert into m1 values ('a', 1);
+    insert into m2 values (7);
+  )"));
+  ASSERT_OK(db_.Execute(R"(
+    create rule r on t when inserted
+    if select * from m1 bind as b1
+    then evaluate select * from m2 bind as b2
+    execute uf unique on k after 1 seconds
+  )").status());
+  ASSERT_OK(db_.Execute("insert into t values ('a', 1)").status());
+  ASSERT_EQ(db_.rules().unique_manager().NumQueued("uf"), 1u);
+  ASSERT_OK(db_.ExecuteScript(R"(
+    drop table m2;
+    create table m2 (y int, z int);
+    insert into m2 values (7, 8);
+  )"));
+  // Key 'a' is queued with a one-column b2: the reshaped firing fails its
+  // merge check and leaves the queued task alone.
+  EXPECT_EQ(db_.Execute("insert into t values ('a', 2)").status().code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(db_.rules().stats().firings_merged.load(), 0u);
+  db_.simulated()->RunUntilQuiescent();
+  ASSERT_OK(db_.Execute("insert into t values ('a', 3)").status());
+  db_.simulated()->RunUntilQuiescent();
+  EXPECT_EQ(db_.rules().stats().tasks_created.load(), 2u);
+
+  // k in both bound tables.
+  ASSERT_OK(db_.ExecuteScript(R"(
+    drop table m2;
+    create table m2 (k string);
+    insert into m2 values ('b');
+  )"));
+  EXPECT_EQ(db_.Execute("insert into t values ('a', 4)").status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_OK(db_.Execute("delete from m1").status());
+  ASSERT_OK(db_.Execute("insert into t values ('a', 5)").status());
+
+  // k in neither.
+  ASSERT_OK(db_.ExecuteScript(R"(
+    drop table m1;
+    create table m1 (j string, x int);
+    insert into m1 values ('a', 1);
+    drop table m2;
+    create table m2 (y int);
+  )"));
+  EXPECT_EQ(db_.Execute("insert into t values ('a', 6)").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db_.rules().stats().tasks_created.load(), 2u);
+  EXPECT_EQ(db_.rules().unique_manager().NumQueued("uf"), 0u);
 }
 
 }  // namespace
